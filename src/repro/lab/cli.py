@@ -552,7 +552,15 @@ def _cmd_work(args: argparse.Namespace) -> int:
         print("star-lab work %(worker)s: %(done)d done, "
               "%(failed)d failed, %(stolen)d stolen over "
               "%(batches)d batches" % summary)
-    return EXIT_FAILURES if summary["failed"] else EXIT_OK
+        if summary["interrupted"]:
+            print("star-lab work %s: interrupted; any claimed cell it "
+                  "did not run returns to the board when its lease "
+                  "expires" % worker_id)
+    if summary["failed"]:
+        return EXIT_FAILURES
+    if summary["interrupted"]:
+        return EXIT_INTERRUPTED
+    return EXIT_OK
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:

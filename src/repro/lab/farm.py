@@ -11,10 +11,11 @@ campaign service over a shared filesystem. The topology:
   per-worker stores into the authoritative store through
   :meth:`~repro.lab.store.ResultStore.import_from`;
 * N **workers** (``star-lab work``) independently claim leases,
-  execute the cells through the existing
-  :class:`~repro.lab.scheduler.Scheduler` → :mod:`repro.lab.executor`
-  path into their own private store, renew their leases between
-  chunks, and mark cells done/failed under the lease's fencing token.
+  execute the cells through the execute loop of a private
+  :class:`~repro.lab.scheduler.Scheduler` (→ :mod:`repro.lab.executor`)
+  into their own store — blobs and index only, no journal — renew
+  their leases between chunks, and mark cells done/failed under the
+  lease's fencing token.
   A worker that dies (SIGKILL, host loss, partition) simply stops
   renewing — once its deadlines pass, the surviving workers steal its
   cells.
@@ -154,6 +155,11 @@ class Coordinator:
         without ever being claimable — the farm equivalent of the
         scheduler's resume path.
         """
+        return self._prepare(specs, name,
+                             [spec.to_dict() for spec in specs])
+
+    def _prepare(self, specs: List[RunSpec], name: str,
+                 spec_dicts: List[Dict]) -> CampaignReport:
         cid = campaign_id(specs)
         self.board.seed(specs)
         resumed = 0
@@ -182,8 +188,8 @@ class Coordinator:
         os.replace(tmp, path)
         report = self._report(cid, name, specs)
         self._checkpoint(report)
-        write_journal(self.store, cid, name, specs, "running", report,
-                      self._checkpoints)
+        write_journal(self.store, cid, name, spec_dicts, "running",
+                      report, self._checkpoints)
         return report
 
     def _report(self, cid: str, name: str,
@@ -243,7 +249,9 @@ class Coordinator:
         """
         cid = campaign_id(specs)
         started = self.clock.wall()
-        report = self.prepare(specs, name=name)
+        # serialized once for every journal write of this campaign
+        spec_dicts = [spec.to_dict() for spec in specs]
+        report = self._prepare(specs, name, spec_dicts)
         beat = None
         if self.telemetry:
             beat = _heartbeat(telemetry_dir(self.farm_dir),
@@ -258,7 +266,7 @@ class Coordinator:
                 if stored != last_stored:
                     last_stored = stored
                     self._checkpoint(report)
-                    write_journal(self.store, cid, name, specs,
+                    write_journal(self.store, cid, name, spec_dicts,
                                   "running", report, self._checkpoints)
                 if beat is not None:
                     beat.write(registry=self.stats.registry,
@@ -267,11 +275,11 @@ class Coordinator:
                     self.merge()
                     # done rows whose payload never shipped (a worker
                     # store was lost wholesale) go back on the board
+                    done = set(self.board.hashes("done"))
                     missing = [
                         spec.spec_hash for spec in specs
-                        if self.store.get(spec) is None
-                        and spec.spec_hash
-                        in set(self.board.hashes("done"))
+                        if spec.spec_hash in done
+                        and self.store.peek(spec) is None
                     ]
                     if not missing:
                         break
@@ -290,7 +298,7 @@ class Coordinator:
         self._checkpoint(report)
         status = ("interrupted" if report.interrupted
                   else "failed" if report.failed else "complete")
-        write_journal(self.store, cid, name, specs, status, report,
+        write_journal(self.store, cid, name, spec_dicts, status, report,
                       self._checkpoints)
         self.stats.gauge_set("lab.farm.wall_s",
                              self.clock.wall() - started)
@@ -307,18 +315,25 @@ class Worker:
     """One work-stealing worker pool: claim, execute, ship, repeat.
 
     Claims up to ``batch`` leases at a time and executes them in
-    chunks of ``jobs`` through a private :class:`Scheduler` (process
-    shards, timeouts, retries and the configurable
-    :class:`BackoffPolicy` all come along for free), renewing its
-    outstanding leases between chunks. Results land in the worker's
-    own store; completion is reported under the lease fence, so a
-    worker that outlived its lease discards the completion (not the
-    result — the merge path dedups identical payloads).
+    chunks of ``jobs`` through the execute loop of one private
+    :class:`Scheduler` (process shards, timeouts, retries and the
+    configurable :class:`BackoffPolicy` all come along for free),
+    renewing its outstanding leases between chunks. Results land in
+    the worker's own store, which holds only blobs and their index:
+    the campaign journal is the coordinator's. Completion is reported
+    under the lease fence, so a worker that outlived its lease
+    discards the completion (not the result — the merge path dedups
+    identical payloads).
 
     When nothing is claimable the worker idles under ``claim_backoff``
     — the same policy class the scheduler retries use — until either
     work appears (a peer's lease expires: the stealing path) or the
     board reports every cell terminal, at which point it exits.
+
+    One SIGINT handler covers the whole claim loop: the first Ctrl-C
+    (or :meth:`request_stop`) lets the in-flight chunk finish and
+    settle, then stops claiming; the second aborts in-flight cells.
+    Leases the worker holds but never ran expire back to the board.
     """
 
     def __init__(self, farm_dir: PathLike, worker_id: str,
@@ -360,8 +375,6 @@ class Worker:
         self.jobs = max(1, jobs)
         self.batch = batch if batch is not None else self.jobs
         self.lease_s = lease_s
-        self.timeout_s = timeout_s
-        self.retries = retries
         self.backoff = backoff
         self.claim_backoff = (claim_backoff if claim_backoff is not None
                               else BackoffPolicy("exponential",
@@ -371,7 +384,11 @@ class Worker:
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.telemetry = telemetry
-        self.runner = runner
+        self.scheduler = Scheduler(
+            self.store, jobs=self.jobs, timeout_s=timeout_s,
+            retries=retries, backoff=backoff, clock=self.clock,
+            stats=self.stats, runner=runner,
+        )
         self.wait_s = wait_s
         self.max_batches = max_batches
         self.done = 0
@@ -410,19 +427,11 @@ class Worker:
             waited += self.poll_interval_s
         return LeaseBoard(path, clock=self.clock)
 
-    def _scheduler(self) -> Scheduler:
-        return Scheduler(
-            self.store, jobs=self.jobs, timeout_s=self.timeout_s,
-            retries=self.retries, backoff=self.backoff,
-            clock=self.clock, stats=self.stats, runner=self.runner,
-        )
-
-    def _chunk_error(self, report: CampaignReport,
-                     spec_hash: str) -> str:
-        for failure in report.failures:
-            if failure.get("spec_hash") == spec_hash:
-                return str(failure.get("error", "unknown"))
-        return "cell not stored after scheduler run"
+    def request_stop(self) -> int:
+        """Ask the worker to stop: once finishes and settles the
+        in-flight chunk and stops claiming, twice aborts in-flight
+        cells (``star-lab run``'s two stages)."""
+        return self.scheduler.request_stop()
 
     def _ship_chunk(self, board: LeaseTransport,
                     chunk: List[Lease]) -> bool:
@@ -453,18 +462,23 @@ class Worker:
 
     def _settle_chunk(self, board: LeaseTransport, chunk: List[Lease],
                       report: CampaignReport) -> None:
+        errors = {failure["spec_hash"]: str(failure["error"])
+                  for failure in report.failures}
         for lease in chunk:
-            if self.store.get(lease.spec) is not None:
+            if self.store.peek(lease.spec) is not None:
                 if board.complete(self.worker_id, lease.spec_hash,
                                   lease.fence):
                     self.done += 1
                     self.stats.add("lab.farm.cells_done")
                 else:
                     self.stats.add("lab.farm.stale_fences")
+            elif report.interrupted and lease.spec_hash not in errors:
+                continue  # stopped before it ran: the lease expires
             else:
                 outcome = board.fail(
                     self.worker_id, lease.spec_hash, lease.fence,
-                    self._chunk_error(report, lease.spec_hash),
+                    errors.get(lease.spec_hash,
+                               "cell not stored after scheduler run"),
                     max_attempts=self.max_attempts,
                     backoff=self.backoff or BackoffPolicy(),
                 )
@@ -475,6 +489,46 @@ class Worker:
                     self.stats.add("lab.farm.cells_requeued")
                 else:
                     self.stats.add("lab.farm.stale_fences")
+
+    def _work_leases(self, board: LeaseTransport, leases: List[Lease],
+                     beat: Optional["HeartbeatWriter"]) -> None:
+        """Execute, ship and settle one claimed batch, chunk by chunk;
+        after a stop request no further chunk starts."""
+        self.stats.add("lab.farm.leases_claimed", len(leases))
+        newly_stolen = sum(1 for lease in leases if lease.stolen)
+        if newly_stolen:
+            self.stolen += newly_stolen
+            self.stats.add("lab.farm.leases_stolen", newly_stolen)
+        for start in range(0, len(leases), self.jobs):
+            if self.scheduler.stop_requests:
+                break
+            chunk = leases[start:start + self.jobs]
+            if start:
+                try:
+                    for lease in leases[start:]:
+                        if board.renew(self.worker_id, lease.spec_hash,
+                                       lease.fence, self.lease_s):
+                            self.stats.add("lab.farm.lease_renewals")
+                except TransportError:
+                    # renewal is best-effort: missed renewals only
+                    # widen the steal window
+                    pass
+            report = self.scheduler.execute(
+                [lease.spec for lease in chunk],
+                name="farm:%s" % self.worker_id,
+            )
+            if self._ship_chunk(board, chunk):
+                try:
+                    self._settle_chunk(board, chunk, report)
+                except TransportError:
+                    # partial settle: unreported leases just expire;
+                    # outcomes already on the board stand
+                    pass
+            if beat is not None:
+                beat.write(registry=self.stats.registry,
+                           progress={"state": "running",
+                                     "done": self.done,
+                                     "stolen": self.stolen})
 
     def run(self) -> Dict:
         """Work the board until the campaign is terminal.
@@ -501,82 +555,44 @@ class Worker:
             beat = _heartbeat(telemetry_dir(self.farm_dir),
                               self.worker_id, self.clock,
                               self.heartbeat_interval_s, self.stats)
+        scheduler = self.scheduler
         batches = 0
         idle_attempts = 0
         try:
-            while True:
-                # past the client's retry budget the coordinator is
-                # gone, not flapping: exit with what we have — the
-                # board remains authoritative, and unfinished leases
-                # expire back to whoever reaches it next
-                try:
-                    leases = board.claim(self.worker_id, self.lease_s,
-                                         limit=self.batch)
-                except TransportError:
-                    break
-                if not leases:
+            with scheduler.draining_sigint():
+                while not scheduler.stop_requests:
+                    # past the client's retry budget the coordinator
+                    # is gone, not flapping: exit with what we have —
+                    # the board remains authoritative, and unfinished
+                    # leases expire back to whoever reaches it next
                     try:
-                        if board.finished():
+                        leases = board.claim(self.worker_id,
+                                             self.lease_s,
+                                             limit=self.batch)
+                        if not leases and board.finished():
                             break
                     except TransportError:
                         break
-                    # peers hold every remaining cell; pace re-claims
-                    # with the backoff policy and retry (their lease
-                    # may expire — the stealing path)
-                    idle_attempts += 1
-                    if beat is not None:
-                        beat.write(registry=self.stats.registry,
-                                   progress={"state": "idle",
-                                             "done": self.done})
-                    self.clock.sleep(max(
-                        self.poll_interval_s,
-                        self.claim_backoff.delay(idle_attempts),
-                    ))
-                    continue
-                idle_attempts = 0
-                self.stats.add("lab.farm.leases_claimed", len(leases))
-                newly_stolen = sum(1 for lease in leases if lease.stolen)
-                if newly_stolen:
-                    self.stolen += newly_stolen
-                    self.stats.add("lab.farm.leases_stolen",
-                                   newly_stolen)
-                for start in range(0, len(leases), self.jobs):
-                    chunk = leases[start:start + self.jobs]
-                    if start:
-                        try:
-                            for lease in leases[start:]:
-                                if board.renew(self.worker_id,
-                                               lease.spec_hash,
-                                               lease.fence,
-                                               self.lease_s):
-                                    self.stats.add(
-                                        "lab.farm.lease_renewals"
-                                    )
-                        except TransportError:
-                            # renewal is best-effort: missed renewals
-                            # only widen the steal window
-                            pass
-                    report = self._scheduler().run(
-                        [lease.spec for lease in chunk],
-                        name="farm:%s" % self.worker_id,
-                    )
-                    if self._ship_chunk(board, chunk):
-                        try:
-                            self._settle_chunk(board, chunk, report)
-                        except TransportError:
-                            # partial settle: unreported leases just
-                            # expire; outcomes already on the board
-                            # stand
-                            pass
-                    if beat is not None:
-                        beat.write(registry=self.stats.registry,
-                                   progress={"state": "running",
-                                             "done": self.done,
-                                             "stolen": self.stolen})
-                batches += 1
-                if (self.max_batches is not None
-                        and batches >= self.max_batches):
-                    break
+                    if not leases:
+                        # peers hold every remaining cell; pace
+                        # re-claims with the backoff policy and retry
+                        # (their lease may expire — the stealing path)
+                        idle_attempts += 1
+                        if beat is not None:
+                            beat.write(registry=self.stats.registry,
+                                       progress={"state": "idle",
+                                                 "done": self.done})
+                        self.clock.sleep(max(
+                            self.poll_interval_s,
+                            self.claim_backoff.delay(idle_attempts),
+                        ))
+                        continue
+                    idle_attempts = 0
+                    self._work_leases(board, leases, beat)
+                    batches += 1
+                    if (self.max_batches is not None
+                            and batches >= self.max_batches):
+                        break
         finally:
             if beat is not None:
                 beat.write(registry=self.stats.registry,
@@ -591,4 +607,5 @@ class Worker:
             "failed": self.failed,
             "stolen": self.stolen,
             "batches": batches,
+            "interrupted": scheduler.stop_requests > 0,
         }

@@ -22,6 +22,11 @@ Robustness machinery:
   after every commit, so ``star-lab status`` and ``star-lab resume``
   know exactly where a killed campaign stopped.
 
+:meth:`Scheduler.run` is the campaign owner's entry point (journal +
+SIGINT handler around the loop); :meth:`Scheduler.execute` is the bare
+loop, which farm workers call for each leased chunk of a campaign the
+coordinator journals.
+
 Metrics (see ``repro.obs.catalog``): ``lab.jobs.scheduled`` /
 ``resumed`` / ``completed`` / ``retried`` / ``timeouts`` / ``failed``,
 ``lab.job.wall_ms`` and ``lab.campaign.wall_s``; store hits/misses are
@@ -37,6 +42,7 @@ import os
 import signal
 import threading
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import FrameType
@@ -45,6 +51,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -324,6 +331,22 @@ class Scheduler:
         self._stop_requests += 1
         return self._stop_requests
 
+    @property
+    def stop_requests(self) -> int:
+        """How many stops were requested (0: keep going)."""
+        return self._stop_requests
+
+    @contextmanager
+    def draining_sigint(self) -> Iterator[None]:
+        """Route Ctrl-C to :meth:`request_stop` while the block runs
+        (main thread only), then restore the previous handler."""
+        old_handler = self._install_sigint()
+        try:
+            yield
+        finally:
+            if old_handler is not None:
+                signal.signal(signal.SIGINT, old_handler)
+
     def _install_sigint(self) -> SignalHandler:
         if threading.current_thread() is not threading.main_thread():
             return None
@@ -347,12 +370,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _journal_path(self, cid: str) -> Path:
         return self.store.campaigns_path / (cid + ".json")
-
-    def _write_journal(self, cid: str, name: str,
-                       specs: List[RunSpec], status: str,
-                       report: CampaignReport) -> None:
-        write_journal(self.store, cid, name, specs, status, report,
-                      self._checkpoints)
 
     def _load_checkpoints(self, cid: str) -> List[Dict]:
         """Prior checkpoints from an existing journal, so a resumed
@@ -403,18 +420,51 @@ class Scheduler:
     # ------------------------------------------------------------------
     def run(self, specs: List[RunSpec], name: str = "campaign",
             max_cells: Optional[int] = None) -> CampaignReport:
-        """Execute a campaign; skip stored cells; checkpoint progress.
+        """Execute a campaign as its owner: journaled, Ctrl-C drains.
 
-        ``max_cells`` bounds how many cells this invocation *computes*
-        (cached cells are free) — the controlled-interruption knob the
-        kill/resume CI leg uses.
+        Wraps :meth:`execute` with the campaign journal under
+        ``<store>/campaigns/`` (checkpointed after the pre-scan and
+        after every commit, finalized at the end) and the two-stage
+        SIGINT handler. ``max_cells`` bounds how many cells this
+        invocation *computes* (cached cells are free) — the
+        controlled-interruption knob the kill/resume CI leg uses.
         """
         cid = campaign_id(specs)
-        report = CampaignReport(campaign_id=cid, name=name,
-                                total=len(specs))
+        self._checkpoints = self._load_checkpoints(cid)
+        spec_dicts = [spec.to_dict() for spec in specs]
+
+        def checkpoint(report: CampaignReport) -> None:
+            self._checkpoint(report)
+            write_journal(self.store, cid, name, spec_dicts, "running",
+                          report, self._checkpoints)
+
+        with self.draining_sigint():
+            report = self.execute(specs, name=name, max_cells=max_cells,
+                                  on_progress=checkpoint)
+        status = ("interrupted" if report.interrupted
+                  else "failed" if report.failed else "complete")
+        write_journal(self.store, cid, name, spec_dicts, status, report,
+                      self._checkpoints)
+        return report
+
+    def execute(self, specs: List[RunSpec], name: str = "campaign",
+                max_cells: Optional[int] = None,
+                on_progress: Optional[
+                    Callable[[CampaignReport], None]] = None,
+                ) -> CampaignReport:
+        """The execute loop: skip stored cells, run the rest.
+
+        Shards, timeouts, retries and stop requests apply; no journal
+        is written and no signal handler installed — that is the
+        campaign owner's job (:meth:`run`, or a farm worker executing
+        leased chunks for the coordinator's campaign).
+        ``on_progress`` sees the report after the pre-scan and after
+        every commit.
+        """
+        report = CampaignReport(campaign_id=campaign_id(specs),
+                                name=name, total=len(specs))
         self.stats.add("lab.jobs.scheduled", len(specs))
         started_at = self.clock.now()
-        self._checkpoints = self._load_checkpoints(cid)
         parent_beat = self._parent_heartbeat()
 
         provenance = {"git_rev": git_revision()}
@@ -425,8 +475,8 @@ class Scheduler:
                 self.stats.add("lab.jobs.resumed")
             else:
                 pending.append(_Job(spec))
-        self._checkpoint(report)
-        self._write_journal(cid, name, specs, "running", report)
+        if on_progress is not None:
+            on_progress(report)
         if parent_beat is not None:
             parent_beat.write(registry=self.stats.registry,
                               progress=report.summary(), force=True)
@@ -434,78 +484,67 @@ class Scheduler:
         running: List[Tuple[_Job, JobHandle, int]] = []
         free_slots = list(range(self.jobs - 1, -1, -1))
         launched = 0
-        old_handler = self._install_sigint()
-        try:
-            while pending or running:
-                progressed = False
+        while pending or running:
+            progressed = False
 
-                # launch up to the shard budget
-                while (pending and len(running) < self.jobs
-                       and self._stop_requests == 0
-                       and (max_cells is None or launched < max_cells)):
-                    job = self._next_eligible(pending)
-                    if job is None:
-                        break
-                    pending.remove(job)
-                    slot = free_slots.pop()
-                    running.append(
-                        (job, self._start(job.spec, slot), slot)
+            # launch up to the shard budget
+            while (pending and len(running) < self.jobs
+                   and self._stop_requests == 0
+                   and (max_cells is None or launched < max_cells)):
+                job = self._next_eligible(pending)
+                if job is None:
+                    break
+                pending.remove(job)
+                slot = free_slots.pop()
+                running.append((job, self._start(job.spec, slot), slot))
+                launched += 1
+                progressed = True
+
+            # reap finished / overdue workers
+            for job, handle, slot in list(running):
+                outcome = handle.poll()
+                now = self.clock.now()
+                if (outcome is None and self.timeout_s is not None
+                        and now - handle.started > self.timeout_s):
+                    handle.stop()
+                    self.stats.add("lab.jobs.timeouts")
+                    outcome = (
+                        "error", "timed out after %.1fs" % self.timeout_s,
                     )
-                    launched += 1
-                    progressed = True
+                if outcome is None:
+                    continue
+                running.remove((job, handle, slot))
+                free_slots.append(slot)
+                progressed = True
+                status, value = outcome
+                if status == "ok":
+                    self._commit(job, cast(Dict, value), provenance,
+                                 now - handle.started, report)
+                    if on_progress is not None:
+                        on_progress(report)
+                else:
+                    self._retry_or_fail(job, str(value), pending, report)
 
-                # reap finished / overdue workers
-                for job, handle, slot in list(running):
-                    outcome = handle.poll()
-                    now = self.clock.now()
-                    if (outcome is None and self.timeout_s is not None
-                            and now - handle.started > self.timeout_s):
-                        handle.stop()
-                        self.stats.add("lab.jobs.timeouts")
-                        outcome = (
-                            "error",
-                            "timed out after %.1fs" % self.timeout_s,
-                        )
-                    if outcome is None:
-                        continue
-                    running.remove((job, handle, slot))
+            if parent_beat is not None:
+                parent_beat.write(registry=self.stats.registry,
+                                  progress=report.summary())
+            if self._stop_requests >= 2:
+                # aborted cells go back to pending: still to be done
+                for job, handle, slot in running:
+                    handle.stop()
                     free_slots.append(slot)
-                    progressed = True
-                    status, value = outcome
-                    if status == "ok":
-                        self._commit(job, cast(Dict, value), provenance,
-                                     now - handle.started, report)
-                        self._checkpoint(report)
-                        self._write_journal(cid, name, specs,
-                                            "running", report)
-                    else:
-                        self._retry_or_fail(job, str(value), pending,
-                                            report)
-
-                if parent_beat is not None:
-                    parent_beat.write(registry=self.stats.registry,
-                                      progress=report.summary())
-                if self._stop_requests >= 2:
-                    for _job, handle, slot in running:
-                        handle.stop()
-                        free_slots.append(slot)
-                    running.clear()
-                if self._stop_requests >= 1 and not running:
-                    break
-                if (not running and pending
-                        and max_cells is not None
-                        and launched >= max_cells):
-                    break
-                if not progressed and (pending or running):
-                    self.clock.sleep(self.poll_interval_s)
-        finally:
-            if old_handler is not None:
-                signal.signal(signal.SIGINT, old_handler)
+                    pending.append(job)
+                running.clear()
+            if self._stop_requests >= 1 and not running:
+                break
+            if (not running and pending
+                    and max_cells is not None
+                    and launched >= max_cells):
+                break
+            if not progressed and (pending or running):
+                self.clock.sleep(self.poll_interval_s)
 
         report.interrupted = bool(pending)
-        status = ("interrupted" if report.interrupted
-                  else "failed" if report.failed else "complete")
-        self._write_journal(cid, name, specs, status, report)
         self.stats.gauge_set(
             "lab.campaign.wall_s", self.clock.now() - started_at
         )
@@ -564,15 +603,17 @@ def _short_digest(config_payload: Dict) -> str:
 # journal writer (shared with the farm coordinator)
 # ----------------------------------------------------------------------
 def write_journal(store: ResultStore, cid: str, name: str,
-                  specs: List[RunSpec], status: str,
+                  spec_dicts: List[Dict], status: str,
                   report: CampaignReport,
                   checkpoints: List[Dict]) -> None:
     """Atomically publish one campaign journal under the store.
 
     The journal is the single checkpoint format every progress reader
-    (``star-lab status``/``resume``, ``star-top``) consumes, whether it
-    was written by a local :class:`Scheduler` or by a farm
-    :class:`~repro.lab.farm.Coordinator`.
+    (``star-lab status``/``resume``, ``star-top``) consumes. Only the
+    campaign's owner writes it: a local :class:`Scheduler` (``run``)
+    or a farm :class:`~repro.lab.farm.Coordinator`. ``spec_dicts`` is
+    the campaign's spec list as :meth:`RunSpec.to_dict` data, built
+    once per campaign rather than at every checkpoint.
     """
     payload = {
         "campaign_id": cid,
@@ -582,8 +623,9 @@ def write_journal(store: ResultStore, cid: str, name: str,
         "failures": report.failures,
         "checkpoints": checkpoints[-CHECKPOINT_LIMIT:],
         "git_rev": git_revision(),
-        "specs": [spec.to_dict() for spec in specs],
+        "specs": spec_dicts,
     }
+    store.campaigns_path.mkdir(exist_ok=True)
     path = store.campaigns_path / (cid + ".json")
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as handle:

@@ -17,10 +17,11 @@ from the journal alone.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.config import (
     CacheConfig,
@@ -81,6 +82,19 @@ def config_from_canonical(payload: Dict) -> SystemConfig:
         raise ConfigError(
             "malformed canonical config: %s" % exc
         ) from None
+
+
+def _copy_data(value: Any) -> Any:
+    """Deep copy of JSON-shaped data, keeping container types as
+    :func:`dataclasses.asdict` does (scalars are immutable)."""
+    if isinstance(value, dict):
+        return type(value)((key, _copy_data(item))
+                           for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copy_data(item) for item in value)
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    return copy.deepcopy(value)
 
 
 def config_digest(config: SystemConfig) -> str:
@@ -153,9 +167,20 @@ class RunSpec:
     # serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        payload = asdict(self)
-        payload["metrics"] = list(self.metrics)
-        return payload
+        """The spec as plain data: the :func:`dataclasses.asdict` keys
+        and values (``metrics`` as a list), deep-copied, built directly
+        because journals and blobs serialize every spec they hold."""
+        return {
+            "kind": self.kind,
+            "scheme": self.scheme,
+            "workload": self.workload,
+            "operations": self.operations,
+            "seed": self.seed,
+            "config": _copy_data(self.config),
+            "crash_and_recover": self.crash_and_recover,
+            "params": _copy_data(self.params),
+            "metrics": list(self.metrics),
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RunSpec":

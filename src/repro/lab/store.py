@@ -5,7 +5,7 @@ Layout under one store root (conventionally ``.starlab/``)::
     .starlab/
       index.sqlite              # spec_hash -> row (the query surface)
       blobs/ab/abcdef....jsonl.gz   # the record of one cell
-      campaigns/<id>.json       # scheduler checkpoints (journal)
+      campaigns/<id>.json       # campaign journals (owners only)
       quarantine/               # corrupt files moved aside, never read
 
 Each blob is a self-contained gzip JSONL file holding the spec, the
@@ -24,6 +24,7 @@ exports bit-identically to a serial one.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import json
 import os
@@ -31,7 +32,7 @@ import sqlite3
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.lab.spec import (
@@ -65,16 +66,27 @@ _BLOB_ERRORS = (
     OSError, EOFError, ValueError, KeyError, UnicodeDecodeError,
 )
 
+_INSERT_SQL = "INSERT OR REPLACE INTO results VALUES (?,?,?,?,?,?,?,?)"
+
 
 class StoreError(ReproError):
     """The store root is unusable (not a directory, unwritable, ...)."""
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision() -> str:
-    """The working tree's revision for provenance, or ``unknown``."""
+    """The revision of the checkout this package was imported from
+    (provenance), or ``unknown``.
+
+    Resolved once per process: the revision describes code the process
+    has already imported, so neither the current directory nor a later
+    checkout changes the answer. ``git_revision.cache_clear()`` resets
+    the memo (tests).
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=10, check=False,
         )
     except (OSError, subprocess.SubprocessError):
@@ -108,6 +120,35 @@ def _spec_key(spec_or_hash: Union[RunSpec, str]) -> str:
     return spec_or_hash
 
 
+def _new_record(spec: RunSpec, payload: Dict,
+                provenance: Optional[Dict],
+                wall_time_s: float) -> ResultRecord:
+    provenance = dict(provenance or {})
+    provenance.setdefault("schema", SCHEMA_VERSION)
+    return ResultRecord(
+        spec_hash=spec.spec_hash,
+        spec=spec.to_dict(),
+        payload=payload,
+        provenance=provenance,
+        wall_time_s=wall_time_s,
+    )
+
+
+def _index_row(record: ResultRecord) -> Tuple:
+    """The ``results`` row indexing one record."""
+    spec = record.spec
+    return (
+        record.spec_hash,
+        record.provenance.get("schema", SCHEMA_VERSION),
+        spec.get("kind", "?"),
+        spec.get("scheme", "?"),
+        spec.get("workload", "?"),
+        spec.get("seed", 0),
+        record.wall_time_s,
+        canonical_json(spec),
+    )
+
+
 class ResultStore:
     """Content-addressed result store under one ``.starlab`` root."""
 
@@ -120,7 +161,6 @@ class ResultStore:
                              % self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / BLOBS_DIR).mkdir(exist_ok=True)
-        (self.root / CAMPAIGNS_DIR).mkdir(exist_ok=True)
         self.stats = stats if stats is not None else Stats(enabled=False)
         # cross_thread: the HTTP lease server's ingestion store is
         # touched from handler threads; its lock serializes access,
@@ -215,25 +255,8 @@ class ResultStore:
             except _BLOB_ERRORS:
                 self._quarantine(blob, "blob")
                 continue
-            self._insert(conn, record)
+            conn.execute(_INSERT_SQL, _index_row(record))
         conn.commit()
-
-    def _insert(self, conn: sqlite3.Connection,
-                record: ResultRecord) -> None:
-        spec = record.spec
-        conn.execute(
-            "INSERT OR REPLACE INTO results VALUES (?,?,?,?,?,?,?,?)",
-            (
-                record.spec_hash,
-                record.provenance.get("schema", SCHEMA_VERSION),
-                spec.get("kind", "?"),
-                spec.get("scheme", "?"),
-                spec.get("workload", "?"),
-                spec.get("seed", 0),
-                record.wall_time_s,
-                canonical_json(spec),
-            ),
-        )
 
     # ------------------------------------------------------------------
     # blobs
@@ -305,6 +328,13 @@ class ResultStore:
         """
         return self._load(_spec_key(spec_or_hash), count=True)
 
+    def peek(self, spec_or_hash: Union[RunSpec, str]
+             ) -> Optional[ResultRecord]:
+        """Like :meth:`get` (the blob is read and validated, a corrupt
+        one quarantined) but not counted as cache traffic: for presence
+        checks on cells this process just computed or merged."""
+        return self._load(_spec_key(spec_or_hash))
+
     def _load(self, spec_hash: str, count: bool = False
               ) -> Optional[ResultRecord]:
         """Fetch one record; ``count`` marks cache (not maintenance)
@@ -345,20 +375,10 @@ class ResultStore:
             provenance: Optional[Dict] = None,
             wall_time_s: float = 0.0) -> ResultRecord:
         """Commit one computed cell (blob first, then the index row)."""
-        if provenance is None:
-            provenance = {}
-        provenance = dict(provenance)
-        provenance.setdefault("schema", SCHEMA_VERSION)
-        record = ResultRecord(
-            spec_hash=spec.spec_hash,
-            spec=spec.to_dict(),
-            payload=payload,
-            provenance=provenance,
-            wall_time_s=wall_time_s,
-        )
+        record = _new_record(spec, payload, provenance, wall_time_s)
         self._write_blob(record)
         conn = self._connect()
-        self._insert(conn, record)
+        conn.execute(_INSERT_SQL, _index_row(record))
         conn.commit()
         self.stats.add("lab.store.puts")
         return record
@@ -397,10 +417,12 @@ class ResultStore:
         """
         wanted = None if spec_hashes is None else set(spec_hashes)
         entries = []
-        for record in self.records(prefix):
-            if wanted is not None and record.spec_hash not in wanted:
+        for spec_hash in self.hashes(prefix):
+            if wanted is not None and spec_hash not in wanted:
                 continue
-            entries.append(record.export_entry())
+            record = self._load(spec_hash)
+            if record is not None:
+                entries.append(record.export_entry())
         return entries
 
     def import_from(self,
@@ -417,24 +439,37 @@ class ResultStore:
         order converges on the same :meth:`export`. The source can be
         another store on a shared filesystem or an
         :class:`ExportSource` wrapping an uploaded export payload (the
-        HTTP farm path) — both feed the same ``put``. Returns how many
-        records were imported.
+        HTTP farm path) — both land through the blob-then-index order
+        of ``put``, batched: every blob is written first, outside any
+        transaction, then all of them are indexed in one short one, so
+        the SQLite write lock (which the HTTP ingestion store shares
+        under a busy timeout) is never held across blob writes. A merge
+        that fails part-way leaves at worst unindexed blobs, which the
+        next merge rewrites byte-identically. Returns how many records
+        were imported.
         """
         wanted = None if spec_hashes is None else set(spec_hashes)
-        imported = 0
+        present = set(self.hashes())
+        rows = []
         for spec_hash in source.hashes():
             if wanted is not None and spec_hash not in wanted:
                 continue
-            if spec_hash in self:
+            if spec_hash in present:
                 continue
-            record = source._load(spec_hash)
-            if record is None:
+            loaded = source._load(spec_hash)
+            if loaded is None:
                 continue
-            self.put(RunSpec.from_dict(record.spec), record.payload,
-                     provenance=record.provenance,
-                     wall_time_s=record.wall_time_s)
-            imported += 1
-        return imported
+            record = _new_record(RunSpec.from_dict(loaded.spec),
+                                 loaded.payload, loaded.provenance,
+                                 loaded.wall_time_s)
+            self._write_blob(record)
+            rows.append(_index_row(record))
+        if rows:
+            conn = self._connect()
+            with conn:
+                conn.executemany(_INSERT_SQL, rows)
+            self.stats.add("lab.store.puts", len(rows))
+        return len(rows)
 
     # ------------------------------------------------------------------
     # maintenance

@@ -11,6 +11,7 @@ amplification into the IPC differences of Fig. 12.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Tuple
 
@@ -94,8 +95,11 @@ class WritePendingQueue:
         if len(self._completions) >= self.capacity:
             if self.stats is not None:
                 self.stats.add("wpq.full_stalls")
-            stall_ns = self._completions[0] - now_ns
-            self._retire(now_ns + stall_ns)
+            head_ns = self._completions[0]
+            stall_ns = head_ns - now_ns
+            # retire by the head's own time: now + (head - now) can
+            # round below head and leave the queue over capacity
+            self._retire(head_ns)
         issue_ns = now_ns + stall_ns
         port = min(range(self.ports), key=self._port_free_ns.__getitem__)
         start_ns = max(issue_ns, self._port_free_ns[port])
@@ -105,12 +109,21 @@ class WritePendingQueue:
         return stall_ns, completion_ns
 
     def drain_time(self, now_ns: float) -> float:
-        """Stall needed at ``now_ns`` for the queue to empty (barrier)."""
+        """Stall needed at ``now_ns`` for the queue to empty (barrier).
+
+        Waiting exactly the returned stall reaches the last completion:
+        where ``now + (last - now)`` rounds below ``last``, the stall is
+        one ulp longer.
+        """
         self._advance_clock(now_ns)
         self._retire(now_ns)
         if not self._completions:
             return 0.0
-        return self._completions[-1] - now_ns
+        last_ns = self._completions[-1]
+        stall_ns = last_ns - now_ns
+        if now_ns + stall_ns < last_ns:
+            stall_ns = math.nextafter(stall_ns, math.inf)
+        return stall_ns
 
     def reset(self) -> None:
         """Empty the queue (a crash): contents and the clock are lost."""

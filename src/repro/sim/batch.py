@@ -63,6 +63,8 @@ removes.
 from __future__ import annotations
 
 import gc as _gc
+from math import inf as _inf
+from math import nextafter as _nextafter
 from typing import List, Optional, Sequence
 
 from repro.config import COUNTER_BITS, LSB_BITS, MAC_BITS
@@ -445,11 +447,12 @@ class EpochEngine:
                         occ_acc[depth] += 1
                     if depth >= wpq_capacity:
                         wpq_full_stalls += 1
-                        stall = wpq_completions[0] - now
+                        head = wpq_completions[0]
+                        stall = head - now
                         write_stall += stall
                         now += stall
                         while wpq_completions and \
-                                wpq_completions[0] <= now:
+                                wpq_completions[0] <= head:
                             wpq_pop()
                     if wpq_single_port:
                         start = now if now > port_free else port_free
@@ -909,7 +912,10 @@ class EpochEngine:
                                 wpq_completions[0] <= now:
                             wpq_pop()
                         if wpq_completions:
-                            stall = wpq_completions[-1] - now
+                            last = wpq_completions[-1]
+                            stall = last - now
+                            if now + stall < last:
+                                stall = _nextafter(stall, _inf)
                             barrier_stall += stall
                             now += stall
                         now += sfence

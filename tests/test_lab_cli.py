@@ -131,6 +131,41 @@ class TestFarmVerbs:
         run_cli("export", "--store", store_dir, "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stopped_work_settles_its_chunk_and_exits_3(
+            self, grid_path, tmp_path, monkeypatch, capsys):
+        from repro.lab import cli
+        from repro.lab.farm import Worker
+        from repro.lab.lease import LeaseBoard
+
+        class StoppedWorker(Worker):
+            """Requests its own stop as the first cell launches (what
+            the SIGINT handler does on Ctrl-C)."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                inner, worker = self.scheduler.runner, self
+
+                class Runner:
+                    def start(self, spec, clock, telemetry=None):
+                        worker.request_stop()
+                        return inner.start(spec, clock)
+
+                self.scheduler.runner = Runner()
+
+        monkeypatch.setattr(cli, "Worker", StoppedWorker)
+        store_dir = str(tmp_path / "farmed")
+        farm_dir = tmp_path / "farmed/farm"
+        run_cli("serve", "--grid", grid_path, "--store", store_dir,
+                "--farm", str(farm_dir), "--max-wall", "0", "--quiet")
+        capsys.readouterr()
+        assert run_cli("work", "--farm", str(farm_dir), "--id", "w1",
+                       "--wait", "5") == 3
+        out = capsys.readouterr().out
+        assert "1 done" in out and "interrupted" in out
+        with LeaseBoard(farm_dir / "leases.sqlite") as board:
+            assert board.counts()["done"] == 1
+            assert board.counts()["pending"] == 1
+
     def test_work_without_a_board_is_an_error(self, tmp_path, capsys):
         assert run_cli("work", "--farm", str(tmp_path / "nope"),
                        "--id", "w1", "--wait", "0", "--poll",

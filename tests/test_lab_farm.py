@@ -227,3 +227,238 @@ class TestObservability:
         for name in farm_names:
             assert catalog.lookup(name) is not None, name
         coordinator.close()
+
+
+class TestBookkeeping:
+    """A farm cell costs its simulation: one provenance lookup per
+    process, no journal outside the coordinator's store, and a merge
+    that indexes in one transaction yet converges after a failure."""
+
+    def test_farm_spawns_one_git_and_leaves_no_worker_journal(
+            self, tmp_path, monkeypatch):
+        from repro.lab import store as store_module
+
+        specs = [bench_spec(CONFIG, scheme, workload, 40, seed=seed)
+                 for seed in range(4)
+                 for scheme in ("wb", "star")
+                 for workload in ("array", "hash")]
+        assert len(specs) == 16
+        reference = serial_export(tmp_path, specs)
+
+        spawned = []
+        real_run = store_module.subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            if args[0] == "git":
+                spawned.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(store_module.subprocess, "run", counting_run)
+        store_module.git_revision.cache_clear()
+        try:
+            coordinator, store, _stats = make_farm(tmp_path)
+            coordinator.prepare(specs, name="bookkeeping")
+            Worker(tmp_path / "farm", "w1", clock=FakeClock()).run()
+            report = coordinator.run(specs, name="bookkeeping",
+                                     max_wall_s=60)
+            coordinator.close()
+        finally:
+            store_module.git_revision.cache_clear()
+        assert report.ok and report.completed == len(specs)
+        assert len(spawned) <= 1
+        worker_store = ResultStore(worker_store_path(tmp_path / "farm",
+                                                     "w1"))
+        assert len(worker_store) == len(specs)
+        assert read_journals(worker_store) == []
+        assert not worker_store.campaigns_path.exists()
+        assert len(read_journals(store)) == 1
+        assert export_text(store) == reference
+
+    def _computed_farm(self, tmp_path, specs):
+        coordinator, store, _stats = make_farm(tmp_path)
+        coordinator.prepare(specs, name="merge")
+        Worker(tmp_path / "farm", "w1", clock=FakeClock()).run()
+        return coordinator, store
+
+    def test_merge_failing_while_writing_blobs_converges(
+            self, tmp_path, monkeypatch):
+        specs = make_specs()
+        reference = serial_export(tmp_path, specs)
+        coordinator, store = self._computed_farm(tmp_path, specs)
+
+        real_write = ResultStore._write_blob
+        writes = []
+
+        def failing_write(self, record):
+            writes.append(record.spec_hash)
+            if len(writes) == 3:
+                raise OSError("disk full (injected)")
+            return real_write(self, record)
+
+        monkeypatch.setattr(ResultStore, "_write_blob", failing_write)
+        try:
+            coordinator.merge()
+        except OSError:
+            pass
+        else:
+            raise AssertionError("the injected failure did not fire")
+        monkeypatch.setattr(ResultStore, "_write_blob", real_write)
+        # blobs came first: nothing was indexed yet
+        assert len(store) == 0
+        assert coordinator.merge() == len(specs)
+        assert export_text(store) == reference
+        coordinator.close()
+
+    def test_merge_failing_inside_the_index_transaction_converges(
+            self, tmp_path, monkeypatch):
+        import sqlite3
+
+        specs = make_specs()
+        reference = serial_export(tmp_path, specs)
+        coordinator, store = self._computed_farm(tmp_path, specs)
+        conn = store._connect()
+
+        class FailingConn:
+            """Indexes two rows, then fails mid-transaction."""
+
+            def __enter__(self):
+                return conn.__enter__()
+
+            def __exit__(self, *exc_info):
+                return conn.__exit__(*exc_info)
+
+            def executemany(self, sql, rows):
+                conn.executemany(sql, list(rows)[:2])
+                raise sqlite3.OperationalError("injected")
+
+            def __getattr__(self, name):
+                return getattr(conn, name)
+
+        monkeypatch.setattr(store, "_connect", lambda: FailingConn())
+        try:
+            coordinator.merge()
+        except sqlite3.OperationalError:
+            pass
+        else:
+            raise AssertionError("the injected failure did not fire")
+        monkeypatch.undo()
+        # rolled back: no partial index, and the write lock is free
+        assert len(store) == 0
+        other = sqlite3.connect(str(store.index_path), timeout=0)
+        other.execute("BEGIN IMMEDIATE")
+        other.rollback()
+        other.close()
+        assert coordinator.merge() == len(specs)
+        assert export_text(store) == reference
+        coordinator.close()
+
+    def test_store_hits_count_only_resumed_cells(self, tmp_path):
+        specs = make_specs()
+        coordinator, _store, stats = make_farm(tmp_path)
+        coordinator.prepare(specs, name="hits")
+        worker_stats = Stats(enabled=True)
+        Worker(tmp_path / "farm", "w1", clock=FakeClock(),
+               stats=worker_stats).run()
+        report = coordinator.run(specs, name="hits", max_wall_s=60)
+        assert report.ok and report.resumed == 0
+        assert stats.get("lab.store.hits") == 0
+        assert worker_stats.get("lab.store.hits") == 0
+        coordinator.close()
+
+        # a half-stored campaign: the coordinator's hits are exactly
+        # the resumed cells, the worker's still none
+        resumed_root = tmp_path / "resumed"
+        coordinator, store, stats = make_farm(resumed_root)
+        Scheduler(ResultStore(store.root)).run(specs[:2])
+        report = coordinator.prepare(specs, name="hits")
+        assert report.resumed == 2
+        assert stats.get("lab.store.hits") == report.resumed
+        worker_stats = Stats(enabled=True)
+        summary = Worker(resumed_root / "farm", "w1", clock=FakeClock(),
+                         stats=worker_stats).run()
+        assert summary["done"] == 2
+        assert worker_stats.get("lab.store.hits") == 0
+        coordinator.close()
+
+
+class StopRunner:
+    """Wraps the inline runner: requests the worker's stop (once, or
+    twice for an abort) from inside the first cell's launch."""
+
+    supports_telemetry = True
+
+    def __init__(self, stops=1, hang=False):
+        from repro.lab.scheduler import InlineRunner
+
+        self.worker = None
+        self.stops = stops
+        self.hang = hang
+        self.inner = InlineRunner()
+        self.started = []
+
+    def start(self, spec, clock, telemetry=None):
+        self.started.append(spec.spec_hash)
+        if len(self.started) == 1:
+            for _ in range(self.stops):
+                self.worker.request_stop()
+        if self.hang:
+            self.handle = HungHandle(clock.now())
+            return self.handle
+        return self.inner.start(spec, clock)
+
+
+class HungHandle:
+    def __init__(self, started):
+        self.started = started
+        self.stopped = False
+
+    def poll(self):
+        return None
+
+    def stop(self):
+        self.stopped = True
+
+
+class TestWorkerStop:
+    def _farm(self, tmp_path, runner, **kwargs):
+        specs = make_specs()
+        clock = FakeClock()
+        coordinator, _store, _stats = make_farm(tmp_path, clock=clock)
+        coordinator.prepare(specs, name="stop")
+        worker = Worker(tmp_path / "farm", "w1", clock=clock,
+                        runner=runner, **kwargs)
+        runner.worker = worker
+        return coordinator, worker, specs
+
+    def test_first_stop_settles_the_inflight_chunk_then_stops(
+            self, tmp_path):
+        runner = StopRunner()
+        # a two-lease batch of one-cell chunks: the stop lands while
+        # the first chunk runs, so the second chunk never starts
+        coordinator, worker, specs = self._farm(tmp_path, runner,
+                                                batch=2)
+        summary = worker.run()
+        assert summary["interrupted"]
+        assert summary["done"] == 1 and summary["failed"] == 0
+        assert len(runner.started) == 1
+        counts = coordinator.board.counts()
+        # one settled, one claimed but never run (its lease expires),
+        # and nothing else claimed after the stop
+        assert counts["done"] == 1
+        assert counts["leased"] == 1
+        assert counts["pending"] == len(specs) - 2
+        coordinator.close()
+
+    def test_second_stop_aborts_the_inflight_cell(self, tmp_path):
+        runner = StopRunner(stops=2, hang=True)
+        coordinator, worker, _specs = self._farm(tmp_path, runner)
+        summary = worker.run()
+        assert summary["interrupted"] and runner.handle.stopped
+        assert summary["done"] == 0 and summary["failed"] == 0
+        # the aborted cell is neither stored nor failed: its lease
+        # stays with the worker until it expires
+        rows = {row["state"] for row in coordinator.board.rows()}
+        assert "failed" not in rows
+        assert coordinator.board.counts()["leased"] == 1
+        assert len(worker.store) == 0
+        coordinator.close()

@@ -177,6 +177,40 @@ class TestFailurePaths:
         assert journal["status"] == "interrupted"
         assert find_journal(store, journal["campaign_id"][:6])
 
+    def test_second_stop_aborts_inflight_and_reports_interrupted(
+            self, tmp_path):
+        specs = real_specs(count=2)
+        store = ResultStore(tmp_path / "lab")
+        script = {spec.spec_hash: [None] for spec in specs}
+        scheduler = Scheduler(store, jobs=2, clock=FakeClock(),
+                              runner=FakeRunner(script))
+
+        class AbortAfterLaunch(FakeRunner):
+            def start(inner, spec, clock):
+                handle = FakeRunner.start(inner, spec, clock)
+                if len(inner.handles) == len(specs):
+                    scheduler.request_stop()
+                    scheduler.request_stop()
+                return handle
+
+        scheduler.runner = AbortAfterLaunch(script)
+        report = scheduler.run(specs, name="aborted")
+        assert all(handle.stopped for handle in scheduler.runner.handles)
+        assert report.completed == 0 and report.failed == 0
+        assert report.interrupted and report.remaining == 2
+        assert read_journals(store)[0]["status"] == "interrupted"
+
+    def test_execute_writes_no_journal(self, tmp_path):
+        specs = real_specs(count=2)
+        store = ResultStore(tmp_path / "lab")
+        seen = []
+        report = Scheduler(store).execute(
+            specs, on_progress=lambda r: seen.append(r.completed))
+        assert report.ok and report.completed == 2
+        assert seen == [0, 1, 2]
+        assert read_journals(store) == []
+        assert len(store) == 2
+
 
 class TestResumeEquivalence:
     def test_kill_and_resume_is_bit_identical_to_serial(self, tmp_path):

@@ -106,3 +106,39 @@ class TestFuzzSpecs:
         assert spec.kind == "fuzz"
         assert spec.params["crash_frac"] == case.crash_frac
         assert spec.params["prepare_frac"] == case.prepare_frac
+
+
+def asdict_reference(spec):
+    """``RunSpec.to_dict`` as it was first written: ``asdict`` plus a
+    list-valued ``metrics``."""
+    payload = dataclasses.asdict(spec)
+    payload["metrics"] = list(spec.metrics)
+    return payload
+
+
+class TestToDict:
+    def _specs(self):
+        case = sample_cases(CampaignSpec(cases=1, seed=3))[0]
+        return [_spec(metrics=("nvm.data_writes", "adr.hits"),
+                      crash_and_recover=True),
+                fuzz_spec(case)]
+
+    def test_matches_the_asdict_reference(self):
+        for spec in self._specs():
+            payload = spec.to_dict()
+            reference = asdict_reference(spec)
+            assert payload == reference
+            assert list(payload) == list(reference)
+            assert canonical_json(payload) == canonical_json(reference)
+            assert RunSpec.from_dict(payload) == spec
+
+    def test_returns_a_deep_copy(self):
+        for spec in self._specs():
+            before = asdict_reference(spec)
+            payload = spec.to_dict()
+            payload["config"]["nvm"]["t_wr_ns"] = -1.0
+            payload["config"]["memory_bytes"] = 0
+            payload["params"]["injected"] = True
+            payload["metrics"].append("injected")
+            assert asdict_reference(spec) == before
+            assert spec.to_dict() == before

@@ -6,10 +6,15 @@ content), so they run in milliseconds.
 """
 
 import gzip
+import subprocess
+from pathlib import Path
+
+import pytest
 
 from repro.bench.runner import config_for_scale
+from repro.lab import store as store_module
 from repro.lab.spec import bench_spec
-from repro.lab.store import ResultStore
+from repro.lab.store import ResultStore, git_revision
 from repro.util.stats import Stats
 
 CONFIG = config_for_scale("smoke")
@@ -188,3 +193,44 @@ class TestExportAndGc:
         store = ResultStore(tmp_path / "lab")
         fill(store, count=3)
         assert store.rebuild_index() == 3
+
+
+class TestProvenance:
+    def test_revision_is_the_package_checkout_outside_any_repo(
+            self, tmp_path, monkeypatch):
+        package_dir = Path(store_module.__file__).resolve().parent
+        expected = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=package_dir,
+            capture_output=True, text=True, check=False,
+        )
+        if expected.returncode != 0 or not expected.stdout.strip():
+            pytest.skip("the package is not in a git checkout")
+        outside = tmp_path / "elsewhere"
+        outside.mkdir()
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.chdir(outside)
+        assert subprocess.run(["git", "rev-parse", "HEAD"],
+                              capture_output=True,
+                              check=False).returncode != 0
+        git_revision.cache_clear()
+        try:
+            assert git_revision() == expected.stdout.strip()
+        finally:
+            git_revision.cache_clear()
+
+    def test_revision_is_resolved_once_per_process(self, monkeypatch):
+        calls = []
+        real_run = store_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.subprocess, "run", counting_run)
+        git_revision.cache_clear()
+        try:
+            first = git_revision()
+            assert all(git_revision() == first for _ in range(5))
+        finally:
+            git_revision.cache_clear()
+        assert len(calls) == 1

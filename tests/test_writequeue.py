@@ -1,7 +1,7 @@
 """Unit + property tests for the write-pending queue."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mem.writequeue import WritePendingQueue
 
@@ -145,6 +145,9 @@ def test_completions_monotonic_and_stalls_nonnegative(gaps, ports):
        st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=6))
 @settings(max_examples=50, deadline=None)
+# now + (head - now) rounds below head here: the stall must still free
+# the head's slot
+@example(gaps=[1.8021137430051317, 1.0], ports=1, capacity=1)
 def test_full_queue_stall_clears_exactly_one_slot(gaps, ports, capacity):
     """A full-queue stall lasts exactly until the oldest write retires,
     and occupancy never exceeds capacity — for any port count."""
@@ -165,6 +168,9 @@ def test_full_queue_stall_clears_exactly_one_slot(gaps, ports, capacity):
                 min_size=1, max_size=80),
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=50, deadline=None)
+# now + (last - now) rounds below last here: the drain must still reach it
+@example(gaps=[1.9267029295781195, 1.9267029295781195,
+               1.9267029295781195, 1.3042936770394231], ports=3)
 def test_retire_at_deadline(gaps, ports):
     """Waiting exactly ``drain_time`` empties the queue — no residue,
     and a zero-length drain immediately after."""
