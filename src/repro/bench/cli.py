@@ -6,8 +6,6 @@ Examples::
     star-bench                      # every experiment, default scale
     star-bench --experiment fig11   # one experiment
     star-bench --scale smoke        # fast smoke-scale run
-    star-bench --batch              # batched epoch pipeline (same
-                                    # numbers, less wall-clock)
 """
 
 from __future__ import annotations
@@ -75,15 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--seed", type=int, default=42, help="workload RNG seed",
     )
     parser.add_argument(
-        "--batch", metavar="EPOCH", type=int, nargs="?", const=True,
-        default=None,
-        help="replay experiments through the batched epoch pipeline "
-             "(optionally with an explicit epoch size; default 256). "
-             "Results are bit-identical to the per-reference loop — "
-             "see tests/test_batch_parity.py — so this only changes "
-             "how fast the tables are produced",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="additionally dump the reproduced tables as JSON",
     )
@@ -126,11 +115,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "lab result store at DIR — see star-lab",
     )
     args = parser.parse_args(argv)
-
-    if args.batch is not None:
-        from repro.bench.runner import set_default_batch
-
-        set_default_batch(args.batch)
 
     lab = None
     if args.lab:

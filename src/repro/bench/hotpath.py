@@ -1,17 +1,14 @@
 """Hot-path micro-benchmarks and the perf-regression gate.
 
 The simulator's credibility rests on running the paper's grids fast
-enough to iterate on; this module pins that property. It times four
+enough to iterate on; this module pins that property. It times three
 scenarios that cover the per-access hot paths:
 
-* ``write_mix`` — the scheme x workload runtime path (counter-mode
-  encryption, SIT persists, bitmap maintenance, WPQ timing) with
-  telemetry enabled, run through the batched epoch pipeline
-  (``Machine(batch=256)``) that sweeps use for scale,
-* ``write_mix_scalar`` — the same grid through the canonical
-  per-reference loop, so a regression in either pipeline is caught
-  independently,
-* ``telemetry_off`` — the scalar path with ``telemetry=False``,
+* ``write_mix_scalar`` — the scheme x workload runtime path
+  (counter-mode encryption, SIT persists, bitmap maintenance, WPQ
+  timing) through the per-reference loop with telemetry enabled, the
+  configuration every sweep runs,
+* ``telemetry_off`` — the same loop with ``telemetry=False``,
   guarding the zero-cost disabled fast path of the Stats facade,
 * ``recovery`` — repeated crash + STAR recovery (locate walk, counter
   reconstruction, MAC recomputation, counted RA clearing).
@@ -75,14 +72,13 @@ def calibrate(repeats: int = DEFAULT_REPEATS) -> float:
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
-def _write_mix_grid(batch: Optional[int]) -> float:
-    """Time the write-mix grid through one execution pipeline.
+def bench_write_mix_scalar() -> float:
+    """The runtime hot path: the scheme x workload grid.
 
     The op streams are generated *outside* the timed window: the
     scenario pins the machine's execution hot path, not the workload
-    generator (which is shared by both pipelines and exercised by its
-    own tests). Telemetry stays on, matching the sweep configuration
-    the score is meant to protect.
+    generator (which is exercised by its own tests). Telemetry stays
+    on, matching the sweep configuration the score is meant to protect.
     """
     from repro.bench.runner import config_for_scale
     from repro.sim.machine import Machine
@@ -100,28 +96,10 @@ def _write_mix_grid(batch: Optional[int]) -> float:
     start = time.perf_counter()
     for scheme in ("wb", "anubis", "star"):
         for name in ("hash", "array"):
-            machine = Machine(
-                config, scheme=scheme, telemetry=True, batch=batch
-            )
+            machine = Machine(config, scheme=scheme, telemetry=True)
             machine.run(streams[name])
             machine.result(name)
     return time.perf_counter() - start
-
-
-def bench_write_mix() -> float:
-    """The runtime hot path: the scheme x workload grid, batched.
-
-    Runs the batched epoch pipeline (``Machine(batch=256)``), the
-    configuration sweeps use for scale. Results are bit-identical to
-    the scalar path (``tests/test_batch_parity.py``), so this scenario
-    guards speed only; ``write_mix_scalar`` pins the canonical loop.
-    """
-    return _write_mix_grid(batch=256)
-
-
-def bench_write_mix_scalar() -> float:
-    """The same grid through the canonical per-reference loop."""
-    return _write_mix_grid(batch=None)
 
 
 def bench_telemetry_off() -> float:
@@ -157,7 +135,6 @@ def bench_recovery() -> float:
 
 
 SCENARIOS: Dict[str, Callable[[], float]] = {
-    "write_mix": bench_write_mix,
     "write_mix_scalar": bench_write_mix_scalar,
     "telemetry_off": bench_telemetry_off,
     "recovery": bench_recovery,

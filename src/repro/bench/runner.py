@@ -10,7 +10,7 @@ picks smaller/larger grids for quick smoke runs or higher fidelity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import SystemConfig, sim_config
 from repro.sim.machine import Machine
@@ -66,22 +66,6 @@ SCALES: Dict[str, BenchScale] = {
 
 PAPER_SCHEMES: List[str] = ["wb", "strict", "anubis", "star"]
 
-DEFAULT_BATCH: Union[bool, int, None] = None
-"""Process-wide pipeline default for :func:`run_one`.
-
-``None`` replays through the canonical per-reference loop; ``True`` or
-an epoch size opts every run whose caller did not pass ``batch``
-explicitly into the batched epoch pipeline (``star-bench --batch`` sets
-this). Results are bit-identical either way, so the knob never changes
-an experiment's numbers — only how long it takes to produce them.
-"""
-
-
-def set_default_batch(batch: Union[bool, int, None]) -> None:
-    """Select the default execution pipeline for this process."""
-    global DEFAULT_BATCH
-    DEFAULT_BATCH = batch
-
 
 def config_for_scale(scale: str = "default",
                      adr_bitmap_lines: int = 16,
@@ -108,7 +92,6 @@ def run_one(config: SystemConfig, scheme: str, workload: str,
             crash_and_recover: bool = False,
             telemetry: bool = True,
             events_jsonl: Optional[str] = None,
-            batch: Union[bool, int, None] = None,
             lab: Optional["LabCache"] = None) -> RunResult:
     """Run one workload under one scheme; optionally crash + recover.
 
@@ -116,14 +99,6 @@ def run_one(config: SystemConfig, scheme: str, workload: str,
     default and lands in ``RunResult.extras["telemetry"]``;
     ``events_jsonl`` additionally streams the event log to a JSONL file
     while the run executes.
-
-    ``batch`` selects the batched epoch pipeline
-    (:mod:`repro.sim.batch`) with the given epoch size; ``None`` defers
-    to the process-wide :data:`DEFAULT_BATCH` (scalar unless
-    ``star-bench --batch`` / :func:`set_default_batch` chose
-    otherwise). Results are bit-identical either way (pinned by
-    ``tests/test_batch_parity.py``), so the flag is purely a speed
-    choice.
 
     ``lab`` routes the cell through a :class:`repro.lab.LabCache`: a
     cell already in the store is deserialized instead of re-simulated,
@@ -136,10 +111,7 @@ def run_one(config: SystemConfig, scheme: str, workload: str,
             config, scheme, workload, operations, seed=seed,
             crash_and_recover=crash_and_recover,
         )
-    if batch is None:
-        batch = DEFAULT_BATCH
-    machine = Machine(config, scheme=scheme, telemetry=telemetry,
-                      batch=batch)
+    machine = Machine(config, scheme=scheme, telemetry=telemetry)
     if events_jsonl is not None:
         machine.stats.registry.events.open_sink(events_jsonl)
     try:

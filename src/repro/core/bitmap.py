@@ -140,13 +140,6 @@ class BitmapLineManager:
     def hit_ratio(self) -> float:
         return self.adr.hit_ratio()
 
-    def line_update_counts(self) -> List[int]:
-        """Update-walk writes per layer, bottom (layer 1) first."""
-        return [
-            self.stats.get("bitmap.line_updates.l%d" % layer)
-            for layer in range(1, self._top_layer + 1)
-        ]
-
 
 def iter_stale_lines(index: MultiLayerIndex, nvm: NVM,
                      top_line: int) -> Iterator[int]:

@@ -2,13 +2,11 @@
 
 The per-file rules of PR 4 see one ``FileContext`` at a time, which is
 exactly why they miss a counted-access helper called through one level
-of indirection, or a scalar-engine field the batch engine never
-mirrors. This module parses the full source tree **once** into a
-:class:`ProjectContext` — module symbol tables (classes, functions,
-imports), a resolved intra-package call graph, per-class attribute
-footprints and the class hierarchy — and the engine hands it to every
-rule via :meth:`~repro.lint.engine.Rule.begin` before the per-file
-walk starts.
+of indirection. This module parses the full source tree **once** into
+a :class:`ProjectContext` — module symbol tables (classes, functions,
+imports), a resolved intra-package call graph and the class hierarchy
+— and the engine hands it to every rule via
+:meth:`~repro.lint.engine.Rule.begin` before the per-file walk starts.
 
 Resolution is deliberately static and conservative: only calls that
 resolve to a project-local definition become call-graph edges
@@ -40,7 +38,7 @@ def qualify(module_path: str, name: str) -> str:
 
 
 def module_dotted(module_path: str) -> str:
-    """``repro/sim/batch.py`` -> ``repro.sim.batch``."""
+    """``repro/sim/machine.py`` -> ``repro.sim.machine``."""
     trimmed = module_path
     if trimmed.endswith(".py"):
         trimmed = trimmed[: -len(".py")]
@@ -95,12 +93,9 @@ class FunctionInfo:
 
 
 class ClassInfo:
-    """One class definition: bases, methods and attribute footprint."""
+    """One class definition: its bases and methods."""
 
-    __slots__ = (
-        "module_path", "name", "node", "base_names", "methods",
-        "self_attrs_written",
-    )
+    __slots__ = ("module_path", "name", "node", "base_names", "methods")
 
     def __init__(self, module_path: str, node: ast.ClassDef) -> None:
         self.module_path = module_path
@@ -113,7 +108,6 @@ class ClassInfo:
             elif isinstance(base, ast.Attribute):
                 self.base_names.append(base.attr)
         self.methods: Dict[str, FunctionInfo] = {}
-        self.self_attrs_written: Set[str] = set()
 
     @property
     def qualified(self) -> str:
@@ -181,18 +175,13 @@ class _ModuleCollector(ast.NodeVisitor):
             fn = FunctionInfo(self.info.module_path, name, node, None)
             self.info.functions[name] = fn
 
+    # nested defs are not indexed as call targets: their names are not
+    # addressable from other scopes
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._add_function(node, node.name)
-        # nested defs are not indexed as call targets (their names are
-        # not addressable from other scopes), but self.X writes inside
-        # them still count toward the class footprint
-        if self._class_stack:
-            self._collect_self_writes(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._add_function(node, node.name)
-        if self._class_stack:
-            self._collect_self_writes(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         cls = ClassInfo(self.info.module_path, node)
@@ -201,15 +190,6 @@ class _ModuleCollector(ast.NodeVisitor):
         for child in node.body:
             self.visit(child)
         self._class_stack.pop()
-
-    def _collect_self_writes(self, func: ast.AST) -> None:
-        owner = self._class_stack[-1]
-        for node in ast.walk(func):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, (ast.Store, ast.Del))
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"):
-                owner.self_attrs_written.add(node.attr)
 
 
 class ProjectContext:

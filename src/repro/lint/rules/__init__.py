@@ -13,12 +13,10 @@ from repro.lint.rules.fencing import LeaseFencingRule
 from repro.lint.rules.hotpath import HotPathRosterRule
 from repro.lint.rules.metrics import MetricCatalogRule
 from repro.lint.rules.nvm_access import UncountedNvmAccessRule
-from repro.lint.rules.parity import BatchParityRule
 from repro.lint.rules.widths import BitWidthOverflowRule
 
 __all__ = [
     "AtomicPublishRule",
-    "BatchParityRule",
     "BitWidthOverflowRule",
     "HotPathRosterRule",
     "LeaseFencingRule",
@@ -36,7 +34,6 @@ def default_rules() -> List[Rule]:
         NondeterminismRule(),
         MetricCatalogRule(),
         HotPathRosterRule(),
-        BatchParityRule(),
         LeaseFencingRule(),
         AtomicPublishRule(),
     ]

@@ -23,7 +23,6 @@ from repro.lint.engine import FileContext, Finding, Rule
 
 # module path -> {class name: needs_frozen}
 DEFAULT_ROSTER: Dict[str, Dict[str, bool]] = {
-    "repro/sim/batch.py": {"EpochEngine": False},
     "repro/tree/node.py": {
         "NodeImage": True,
         "DataLineImage": True,

@@ -14,7 +14,10 @@ Emission sites are recognized by receiver shape (``stats.add(...)``,
 ``self.stats.observe(...)``, ``registry.counter(...)``) to avoid
 confusing dict ``.get`` or unrelated ``.add`` calls. Dynamic names
 built with ``%``-formatting are matched against the catalogue's
-declared patterns.
+declared patterns. A declared pattern formatted outside a call site
+also counts as emitted: hot paths pre-build name tables from it (the
+bitmap's per-layer ``bitmap.line_updates.l%d``) and emit through the
+table, out of this rule's sight.
 """
 
 from __future__ import annotations
@@ -102,7 +105,14 @@ class MetricCatalogRule(Rule):
         self._scanned_modules.add(ctx.module_path)
         if ctx.module_path == "repro/obs/catalog.py":
             self._catalog_path = ctx.path
+        declared = {t for t, _ in self.patterns}
         for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Constant)
+                    and node.left.value in declared):
+                self._seen_templates.add(node.left.value)
+                continue
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
@@ -115,9 +125,7 @@ class MetricCatalogRule(Rule):
             if name is None:
                 continue
             if is_template:
-                if name in {t for t, _ in self.patterns}:
-                    self._seen_templates.add(name)
-                else:
+                if name not in declared:
                     yield ctx.finding(
                         self.code,
                         node,

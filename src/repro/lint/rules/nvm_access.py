@@ -28,11 +28,7 @@ The NVM class itself (``repro/mem/nvm.py``) is the counted API and is
 exempt; the sanctioned uncounted accessors it exports (``peek_*``,
 ``flush_*``, ``tamper_*``, ``data_lines``, ``meta_lines``,
 ``st_slots``, ``*_is_touched``) are the escape hatch for oracles,
-battery flushes and attackers. The batched epoch engine
-(``repro/sim/batch.py``) is the second counted implementation of the
-same API — it binds the region dicts *and* their traffic counters
-locally and bumps both together, with scalar parity enforced by
-``tests/test_batch_parity.py`` — so it shares the exemption.
+battery flushes and attackers.
 """
 
 from __future__ import annotations
@@ -146,9 +142,8 @@ class UncountedNvmAccessRule(Rule):
     )
 
     def __init__(self,
-                 exempt_modules: Iterable[str] = (
-                     "repro/mem/nvm.py", "repro/sim/batch.py",
-                 )) -> None:
+                 exempt_modules: Iterable[str] = ("repro/mem/nvm.py",)
+                 ) -> None:
         self.exempt_modules = frozenset(exempt_modules)
         self._project: Optional[ProjectContext] = None
         self._effects: _Effects = {}

@@ -124,9 +124,8 @@ class AdrRegion:
         recency order exactly like the hardware's ADR, and a hot line
         being rewritten must not age toward eviction. ``peek`` is the
         deliberate opposite — a recency-neutral read for audits and
-        telemetry. Any array-backed replacement (the batched pipeline)
-        must reproduce this order: *load and store refresh, peek does
-        not*, pinned by ``tests/test_adr_layout.py``.
+        telemetry. *Load and store refresh, peek does not* is pinned by
+        ``TestAdrStoreRecency`` in ``tests/test_machine_lifecycle.py``.
         """
         entries = self._lines._entries
         if key not in entries:

@@ -47,10 +47,6 @@ class AnubisScheme(PersistenceScheme):
 
     name = "anubis"
     supports_sit_recovery = True
-    # on_parent_modified only writes the ST region + a counter — it
-    # never probes or mutates the metadata cache, so batched same-line
-    # write runs stay valid under it
-    parent_hook_is_cache_neutral = True
 
     def __init__(self) -> None:
         super().__init__()

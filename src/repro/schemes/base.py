@@ -94,16 +94,6 @@ class PersistenceScheme(ABC):
     name: str = "abstract"
     supports_sit_recovery: bool = False
 
-    parent_hook_is_cache_neutral: bool = False
-    """Whether an overridden :meth:`on_parent_modified` is guaranteed
-    never to touch the metadata cache (probe, pin, install, evict or
-    persist through the controller). The batched epoch engine
-    (:mod:`repro.sim.batch`) may only preaggregate same-counter-block
-    write runs when this holds — a hook that reaches back into the
-    cache would invalidate the run's residency/LRU assumptions.
-    Schemes whose hook only emits side-band NVM traffic (e.g. Anubis'
-    shadow-table writes) opt in by setting this to ``True``."""
-
     def __init__(self) -> None:
         self.controller: Optional["SecureMemoryController"] = None
 

@@ -31,10 +31,6 @@ class PhoenixScheme(AnubisScheme):
 
     name = "phoenix"
     supports_sit_recovery = True
-    # unlike Anubis, the parent hook persists counter blocks through
-    # the controller every Nth write — that re-enters the metadata
-    # cache, so batched write runs must stay disabled
-    parent_hook_is_cache_neutral = False
 
     def __init__(self, persist_stride: int = 4) -> None:
         super().__init__()

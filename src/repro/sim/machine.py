@@ -41,8 +41,7 @@ class Machine:
                  nvm: Optional[NVM] = None,
                  telemetry: bool = True,
                  sanitize: bool = False,
-                 profile: bool = False,
-                 batch: Union[bool, int, None] = None) -> None:
+                 profile: bool = False) -> None:
         """``registers`` and ``nvm`` allow booting a machine on state
         that survived a crash (the reboot-after-recovery scenario).
         ``telemetry=False`` turns off histograms/spans/events (counters
@@ -50,11 +49,7 @@ class Machine:
         installs the runtime write sanitizers (``repro.sim.sanitize``);
         ``profile=True`` installs the deterministic phase profiler
         (``repro.obs.profile``); both off by default, so hot paths
-        stay unwrapped. ``batch`` opts :meth:`run` into the fused epoch
-        pipeline (``repro.sim.batch``): ``True`` uses the default epoch
-        size, an int sets it; bit-identical to the scalar path, and
-        machines the engine cannot serve (device timing, sanitizer,
-        profiler, NVM tracing) silently fall back to scalar replay."""
+        stay unwrapped."""
         self.config = config
         self.stats = Stats(enabled=telemetry)
         self.recovery_stats: Optional[Stats] = None
@@ -104,28 +99,12 @@ class Machine:
             from repro.obs.profile import install_profiler
 
             self.profiler = install_profiler(self)
-        if batch is not None and batch is not False and batch is not True:
-            if not isinstance(batch, int) or batch < 1:
-                raise ValueError("batch must be True or an epoch size >= 1")
-        self.batch = batch
 
     # ==================================================================
     # running traces
     # ==================================================================
     def run(self, ops: Iterable[Op]) -> None:
-        """Replay a trace through the machine.
-
-        With ``batch`` set, the fused epoch pipeline replays the trace
-        (falling back to the scalar per-op loop when the machine is
-        ineligible); otherwise every op goes through :meth:`apply`.
-        """
-        batch = self.batch
-        if batch:
-            from repro.sim.batch import DEFAULT_EPOCH, run_batched
-
-            epoch = DEFAULT_EPOCH if batch is True else batch
-            if run_batched(self, ops, epoch):
-                return
+        """Replay a trace through the machine, one op at a time."""
         for op in ops:
             self.apply(op)
 

@@ -23,6 +23,7 @@ from repro.schemes import SIT_SCHEMES
 from repro.sim.endurance import wear_report
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
+from repro.tools import int_at_least
 from repro.workloads.capture import load_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -43,17 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a captured trace instead")
     parser.add_argument("--scheme", choices=sorted(SIT_SCHEMES),
                         default="star")
-    parser.add_argument("--operations", type=int, default=1000)
+    parser.add_argument("--operations", type=int_at_least(1),
+                        default=1000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int_at_least(1), default=1,
                         help="interleave N workload threads")
-    parser.add_argument("--memory-mb", type=int, default=64)
-    parser.add_argument("--cache-kb", type=int, default=64,
+    parser.add_argument("--memory-mb", type=int_at_least(1), default=64)
+    parser.add_argument("--cache-kb", type=int_at_least(1), default=64,
                         help="metadata cache size")
-    parser.add_argument("--wear-level", type=int, metavar="INTERVAL",
-                        default=0,
+    parser.add_argument("--wear-level", type=int_at_least(0),
+                        metavar="INTERVAL", default=0,
                         help="enable start-gap wear leveling with the "
-                             "given gap-write interval")
+                             "given gap-write interval (0: off)")
     parser.add_argument("--crash", action="store_true",
                         help="crash at the end and run recovery")
     parser.add_argument("--audit", action="store_true",

@@ -13,6 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.tools import int_at_least
 from repro.workloads.capture import load_trace, save_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -34,11 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("--workload", choices=ALL_WORKLOADS,
                           required=True)
-    generate.add_argument("--operations", type=int, default=1000)
-    generate.add_argument("--lines", type=int, default=1024 * 1024,
+    generate.add_argument("--operations", type=int_at_least(1),
+                          default=1000)
+    generate.add_argument("--lines", type=int_at_least(1),
+                          default=1024 * 1024,
                           help="data lines in the address space")
     generate.add_argument("--seed", type=int, default=42)
-    generate.add_argument("--threads", type=int, default=1)
+    generate.add_argument("--threads", type=int_at_least(1), default=1)
     generate.add_argument("-o", "--output", required=True)
 
     info = commands.add_parser(

@@ -1,13 +1,12 @@
-"""Whole-program lint v2: project pass, STAR006/007/008, SARIF,
-baseline.
+"""Whole-program lint v2: project pass, STAR007/008, SARIF, baseline.
 
 Covers the call-graph effect propagation behind the STAR001 rewrite
-(helper indirection is the acceptance pin), the batch/scalar parity
-cross-reference, the lease-fencing and atomic-publish rules, the
-SARIF reporter (structural validation against the SARIF 2.1.0
-required subset + property round-trips), the baseline waiver
-mechanism with its unused-waiver direction, pragma suppression edge
-cases, and the checked-in fixture tree under ``tests/lint_fixtures``.
+(helper indirection is the acceptance pin), the lease-fencing and
+atomic-publish rules, the SARIF reporter (structural validation
+against the SARIF 2.1.0 required subset + property round-trips), the
+baseline waiver mechanism with its unused-waiver direction, pragma
+suppression edge cases, and the checked-in fixture tree under
+``tests/lint_fixtures``.
 """
 
 import json
@@ -22,6 +21,7 @@ from repro.lint.engine import (
     FileContext,
     Finding,
     LintEngine,
+    Rule,
     findings_from_json,
     findings_to_json,
 )
@@ -35,9 +35,14 @@ from repro.lint.rules import default_rules
 from repro.lint.rules.atomic_publish import AtomicPublishRule
 from repro.lint.rules.fencing import LeaseFencingRule
 from repro.lint.rules.nvm_access import UncountedNvmAccessRule
-from repro.lint.rules.parity import BatchParityRule
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
+
+RULE_CODES = [
+    "STAR001", "STAR002", "STAR003", "STAR004", "STAR005",
+    "STAR007", "STAR008",
+]
+"""Every registered rule; STAR006 is retired and its code not reused."""
 
 
 def stage(tmp_path, files):
@@ -210,107 +215,15 @@ class TestNvmEffectPropagation:
 
     def test_exempt_module_callee_not_flagged(self, tmp_path):
         findings = lint_tree(tmp_path, [UncountedNvmAccessRule()], {
-            "repro/sim/batch.py":
+            "repro/mem/nvm.py":
                 "def drain(dev):\n"
                 "    return len(dev._meta)\n",
             "repro/sim/use.py":
-                "from repro.sim.batch import drain\n"
+                "from repro.mem.nvm import drain\n"
                 "def go(machine):\n"
                 "    return drain(machine.nvm)\n",
         })
         assert findings == []
-
-
-# ----------------------------------------------------------------------
-# STAR006: batch/scalar parity drift
-# ----------------------------------------------------------------------
-SCALAR_SRC = (
-    "class SecureMemoryController:\n"
-    "    def __init__(self, config, geometry):\n"
-    "        self.config = config\n"
-    "        self.geometry = geometry\n"
-    "        self._hist = {}\n"
-    "    def write_data(self, address):\n"
-    "        self._hist[address] = 1\n"
-    "        return self.geometry\n"
-)
-
-
-class TestBatchParity:
-    def test_unmirrored_field_is_flagged(self, tmp_path):
-        """The acceptance pin: a synthetic scalar-side field absent
-        from the fixture batch engine and the roster."""
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": SCALAR_SRC,
-            "repro/sim/batch.py":
-                "SCALAR_PARITY_EXEMPT = frozenset({'config'})\n"
-                "class EpochEngine:\n"
-                "    __slots__ = ('geometry',)\n"
-                "    def __init__(self, ctrl):\n"
-                "        self.geometry = ctrl.geometry\n",
-        })
-        assert codes(findings) == ["STAR006"]
-        assert "_hist" in findings[0].message
-        assert findings[0].path.endswith("controller.py")
-        assert findings[0].line == 5  # first self._hist use
-
-    def test_mirrored_and_exempt_fields_pass(self, tmp_path):
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": SCALAR_SRC,
-            "repro/sim/batch.py":
-                "SCALAR_PARITY_EXEMPT = frozenset({'config'})\n"
-                "class EpochEngine:\n"
-                "    __slots__ = ('geometry', '_hist')\n"
-                "    def __init__(self, ctrl):\n"
-                "        self.geometry = ctrl.geometry\n"
-                "        self._hist = dict(ctrl._hist)\n",
-        })
-        assert findings == []
-
-    def test_unused_exemption_is_flagged(self, tmp_path):
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": SCALAR_SRC,
-            "repro/sim/batch.py":
-                "SCALAR_PARITY_EXEMPT = frozenset("
-                "{'config', 'geometry'})\n"
-                "class EpochEngine:\n"
-                "    __slots__ = ('geometry', '_hist')\n"
-                "    def __init__(self, ctrl):\n"
-                "        self.geometry = ctrl.geometry\n"
-                "        self._hist = dict(ctrl._hist)\n",
-        })
-        assert codes(findings) == ["STAR006"]
-        assert "unused" in findings[0].message
-        assert findings[0].path.endswith("batch.py")
-
-    def test_stale_exemption_is_flagged(self, tmp_path):
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": SCALAR_SRC,
-            "repro/sim/batch.py":
-                "SCALAR_PARITY_EXEMPT = frozenset("
-                "{'config', 'vanished'})\n"
-                "class EpochEngine:\n"
-                "    __slots__ = ('geometry', '_hist')\n"
-                "    def __init__(self, ctrl):\n"
-                "        self.geometry = ctrl.geometry\n"
-                "        self._hist = dict(ctrl._hist)\n",
-        })
-        assert codes(findings) == ["STAR006"]
-        assert "stale" in findings[0].message
-
-    def test_half_pair_in_scope_is_silent(self, tmp_path):
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": SCALAR_SRC,
-        })
-        assert findings == []
-
-    def test_missing_controller_class_reported(self, tmp_path):
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py": "class Renamed:\n    pass\n",
-            "repro/sim/batch.py": "class EpochEngine:\n    pass\n",
-        })
-        assert codes(findings) == ["STAR006"]
-        assert "not found" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +370,25 @@ class TestAtomicPublish:
 # ----------------------------------------------------------------------
 # pragma suppression edge cases
 # ----------------------------------------------------------------------
+class FinishPhaseRule(Rule):
+    """A whole-tree rule in miniature: ``check`` only records the
+    files it sees, and the one finding (line 2 of the first file)
+    comes from ``finish``."""
+
+    code = "STAR099"
+    name = "finish-phase-probe"
+
+    def __init__(self) -> None:
+        self._paths = []
+
+    def check(self, ctx):
+        self._paths.append(ctx.path)
+        return ()
+
+    def finish(self):
+        yield Finding(self.code, self._paths[0], 2, 0, "whole-tree")
+
+
 class TestPragmaEdgeCases:
     def test_pragma_on_decorated_def(self, tmp_path):
         """The pragma goes on the def/class line the finding points
@@ -499,22 +431,18 @@ class TestPragmaEdgeCases:
         assert findings == []
 
     def test_pragma_suppresses_finish_findings(self, tmp_path):
-        """finish()-emitted findings (STAR006 runs entirely in the
-        project phase) honour the same pragmas as per-file ones."""
-        findings = lint_tree(tmp_path, [BatchParityRule()], {
-            "repro/sim/controller.py":
-                "class SecureMemoryController:\n"
-                "    def __init__(self, geometry):\n"
-                "        self.geometry = geometry\n"
-                "        self._hist = {}"
-                "  # lint: disable=STAR006\n",
-            "repro/sim/batch.py":
-                "class EpochEngine:\n"
-                "    __slots__ = ('geometry',)\n"
-                "    def __init__(self, ctrl):\n"
-                "        self.geometry = ctrl.geometry\n",
+        """finish()-emitted findings honour the same pragmas as
+        per-file ones."""
+        loud = lint_tree(tmp_path / "loud", [FinishPhaseRule()], {
+            "repro/sim/probe.py": "x = 1\ny = 2\n",
         })
-        assert findings == []
+        assert codes(loud) == [FinishPhaseRule.code]
+        quiet = lint_tree(tmp_path / "quiet", [FinishPhaseRule()], {
+            "repro/sim/probe.py":
+                "x = 1\n"
+                "y = 2  # lint: disable=%s\n" % FinishPhaseRule.code,
+        })
+        assert quiet == []
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +490,11 @@ class TestSarif:
         validate_sarif_2_1_0(payload)
         json.loads(json.dumps(payload))  # serializable
 
-    def test_all_eight_rules_in_driver(self):
+    def test_every_rule_in_driver(self):
         payload = sarif_report([], default_rules())
         ids = [r["id"] for r
                in payload["runs"][0]["tool"]["driver"]["rules"]]
-        assert ids == ["STAR00%d" % i for i in range(1, 9)]
+        assert ids == RULE_CODES
 
     def test_round_trip(self):
         text = findings_to_sarif(self.FINDINGS, default_rules())
@@ -684,7 +612,7 @@ class TestBaseline:
 # ----------------------------------------------------------------------
 # the fixture tree: one intentionally-bad file per rule
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("code", ["STAR00%d" % i for i in range(1, 9)])
+@pytest.mark.parametrize("code", RULE_CODES)
 def test_fixture_tree_pins_each_rule(code):
     root = FIXTURES / code.lower()
     assert root.is_dir(), "missing fixture dir for %s" % code
@@ -707,23 +635,16 @@ def test_fixture_star001_findings_are_call_sites():
                for f in findings)
 
 
-def test_fixture_star006_flags_the_synthetic_field():
-    engine = LintEngine(default_rules())
-    findings = engine.run([str(FIXTURES / "star006")])
-    assert len(findings) == 1
-    assert "_synthetic_hist" in findings[0].message
-    assert findings[0].path.endswith("controller.py")
-
-
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCliV2:
-    def test_list_rules_registers_all_eight(self, capsys):
+    def test_list_rules_registers_every_rule(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for i in range(1, 9):
-            assert "STAR00%d" % i in out
+        for code in RULE_CODES:
+            assert code in out
+        assert "STAR006" not in out
 
     def test_paths_required_without_list_rules(self, capsys):
         with pytest.raises(SystemExit):

@@ -139,9 +139,9 @@ class TestAdrFlushReconciliation:
 class TestAdrStoreRecency:
     """Pin the intended LRU semantics: load/store refresh, peek doesn't.
 
-    The batched pipeline reuses the scalar ``AdrRegion``; if it ever
-    grows an array-backed replacement, this is the order it must
-    reproduce, spill for spill.
+    Spills follow this order, so it decides which bitmap lines reach
+    the recovery area; a faster ``AdrRegion`` must reproduce it, spill
+    for spill.
     """
 
     def _loaded_adr(self):

@@ -1,8 +1,9 @@
-"""Tests for the star-run / star-trace command-line tools."""
+"""Tests for the star-run / star-stats / star-trace command-line tools."""
 
 import pytest
 
 from repro.tools.run import main as run_main
+from repro.tools.stats import main as stats_main
 from repro.tools.trace import main as trace_main
 
 
@@ -86,3 +87,52 @@ class TestStarRun:
     def test_scheme_choices(self):
         with pytest.raises(SystemExit):
             run_main(["--scheme", "bogus"])
+
+    def test_wear_level_zero_means_off(self, capsys):
+        assert run_main([
+            "--workload", "array", "--operations", "50",
+            "--wear-level", "0", "--memory-mb", "8", "--cache-kb", "8",
+        ]) == 0
+
+
+# ----------------------------------------------------------------------
+# sizes and counts are validated at parse time
+# ----------------------------------------------------------------------
+TOOLS = {
+    "star-run": (run_main, []),
+    "star-stats": (stats_main, []),
+    "star-trace": (trace_main, ["generate", "--workload", "hash"]),
+}
+
+SIZE_FLAGS = {
+    "star-run": ["--operations", "--threads", "--memory-mb", "--cache-kb"],
+    "star-stats": ["--operations", "--memory-mb", "--cache-kb"],
+    "star-trace": ["--operations", "--lines", "--threads"],
+}
+
+OUT_OF_RANGE = [
+    (tool, flag, value)
+    for tool, flags in sorted(SIZE_FLAGS.items())
+    for flag in flags
+    for value in ("0", "-1")
+] + [("star-run", "--wear-level", "-1")]
+
+
+@pytest.mark.parametrize(
+    "tool, flag, value", OUT_OF_RANGE,
+    ids=["%s%s=%s" % case for case in OUT_OF_RANGE],
+)
+def test_out_of_range_size_is_a_usage_error(tool, flag, value, tmp_path,
+                                             capsys):
+    main, prefix = TOOLS[tool]
+    argv = prefix + [flag, value]
+    if tool == "star-trace":
+        argv += ["-o", str(tmp_path / "never.trace")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "argument %s: must be at least" % flag in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "never.trace").exists()

@@ -88,9 +88,9 @@ class TestMonotonicClock:
     Every internal shortcut (``_retire`` popping left, the full-queue
     stall reading ``_completions[0]``, ``drain_time`` reading
     ``_completions[-1]``) assumes the completion deque is sorted, which
-    only holds for non-decreasing ``now_ns``. An epoch pipeline that
-    reordered timing-model calls would otherwise silently produce wrong
-    barrier stalls — exactly the failure mode this guard pins down.
+    only holds for non-decreasing ``now_ns``. A caller that reordered
+    timing-model calls would otherwise silently produce wrong barrier
+    stalls — exactly the failure mode this guard pins down.
     """
 
     def test_enqueue_rejects_time_travel(self):
