@@ -217,6 +217,7 @@ def _dump_telemetry(directory: str, scale: str, seed: int) -> None:
     from repro.bench.runner import config_for_scale, SCALES
     from repro.obs.export import to_json, to_prometheus_text
     from repro.obs.render import render_span_tree
+    from repro.obs.tracing import write_chrome_trace
     from repro.sim.machine import Machine
     from repro.workloads.registry import make_workload
 
@@ -250,7 +251,8 @@ def _dump_telemetry(directory: str, scale: str, seed: int) -> None:
             machine.recovery_stats.registry.tracer.to_list()
         ) + "\n")
     trace_path = os.path.join(directory, "trace.json")
-    machine.profiler.write_chrome_trace(trace_path)
+    write_chrome_trace(trace_path, [machine.stats.registry.tracer,
+                                    machine.recovery_stats.registry.tracer])
     for path in (events_path, json_path, prom_path, spans_path,
                  trace_path):
         print("wrote %s" % path)

@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--timeout", type=float, default=None,
                       metavar="SECONDS",
                       help="per-cell timeout (needs --jobs > 1)")
-    work.add_argument("--retries", type=int, default=2,
-                      help="in-pool retry budget per cell (default 2)")
     _add_backoff(work)
     work.add_argument("--lease", type=float, default=60.0,
                       metavar="SECONDS",
@@ -539,7 +537,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
     worker = Worker(
         base, worker_id, jobs=args.jobs, batch=args.batch,
         lease_s=args.lease, timeout_s=args.timeout,
-        retries=args.retries, backoff=_backoff_policy(args),
+        backoff=_backoff_policy(args),
         max_attempts=args.max_attempts, poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
         wait_s=args.wait,

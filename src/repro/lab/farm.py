@@ -316,9 +316,11 @@ class Worker:
 
     Claims up to ``batch`` leases at a time and executes them in
     chunks of ``jobs`` through the execute loop of one private
-    :class:`Scheduler` (process shards, timeouts, retries and the
-    configurable :class:`BackoffPolicy` all come along for free),
-    renewing its outstanding leases between chunks. Results land in
+    :class:`Scheduler` (process shards and timeouts come along for
+    free), renewing its outstanding leases between chunks. The
+    scheduler does not retry: a failed execution goes back to the
+    board, whose ``max_attempts`` — backed off by ``backoff`` — is the
+    farm's one retry budget. Results land in
     the worker's own store, which holds only blobs and their index:
     the campaign journal is the coordinator's. Completion is reported
     under the lease fence, so a worker that outlived its lease
@@ -344,7 +346,6 @@ class Worker:
                  batch: Optional[int] = None,
                  lease_s: float = 60.0,
                  timeout_s: Optional[float] = None,
-                 retries: int = 2,
                  backoff: Optional[BackoffPolicy] = None,
                  claim_backoff: Optional[BackoffPolicy] = None,
                  max_attempts: int = 3,
@@ -386,7 +387,7 @@ class Worker:
         self.telemetry = telemetry
         self.scheduler = Scheduler(
             self.store, jobs=self.jobs, timeout_s=timeout_s,
-            retries=retries, backoff=backoff, clock=self.clock,
+            retries=0, clock=self.clock,
             stats=self.stats, runner=runner,
         )
         self.wait_s = wait_s

@@ -1,6 +1,6 @@
 """STAR008: telemetry/lab files must be published atomically.
 
-Readers of the heartbeat plane, the campaign store and the profiler
+Readers of the heartbeat plane, the campaign store and Chrome span
 traces run in *other processes* (star-top, a resuming coordinator, CI
 ``cmp`` steps). A plain ``open(path, "w")`` exposes them to torn
 reads: the PR 7 heartbeat salvage was exactly a half-written JSON file

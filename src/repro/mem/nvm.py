@@ -23,7 +23,9 @@ Every access method is hot (they ARE the simulator's traffic), so the
 per-region counters are bound once as Counter objects instead of going
 through the ``Stats.add`` name lookup. ``stats`` is a property: the
 machine swaps in a fresh Stats namespace around recovery, and the setter
-rebinds the counters to the new registry.
+rebinds the counters to the new registry while keeping a running base,
+so :meth:`NVM.accesses` counts line accesses over the device's whole
+life — the op clock of :mod:`repro.obs.tracing` spans.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class NVM:
         """When set to a list, every access appends
         ``(op, region, key)`` — the address feed for the bank-level
         device timing model."""
+        self._base = 0
         self._bind_counters()
 
     @property
@@ -62,8 +65,10 @@ class NVM:
 
     @stats.setter
     def stats(self, value: Stats) -> None:
+        lifetime = self.accesses()
         self._stats = value
         self._bind_counters()
+        self._base = lifetime - self.total_reads() - self.total_writes()
 
     def _bind_counters(self) -> None:
         registry = self._stats.registry
@@ -274,3 +279,8 @@ class NVM:
             + self._c_ra_reads.value
             + self._c_st_reads.value
         )
+
+    def accesses(self) -> int:
+        """Line reads + writes over the NVM's whole life, across
+        :attr:`stats` swaps (the span op clock)."""
+        return self._base + self.total_reads() + self.total_writes()

@@ -4,8 +4,11 @@ The telemetry substrate every simulator layer reports into:
 
 * :class:`MetricRegistry` — counters (the seed's flat ``Stats``
   namespace now lives here), gauges, and log-scale histograms;
-* :class:`SpanTracer` — nested, exception-aware phase timing
-  (``with tracer.span("recovery.rebuild", lines=n): ...``);
+* :class:`SpanTracer` — nested, exception-aware phase spans on two
+  clocks, the deterministic NVM op clock and host wall time
+  (``with tracer.span("recovery.rebuild", lines=n): ...``, or
+  ``tracer.wrap(obj, method, name)``), exported as Chrome traces by
+  :func:`repro.obs.tracing.write_chrome_trace`;
 * :class:`EventLog` — a bounded ring of causally ordered structured
   events (``meta_evict``, ``force_flush``, ``ra_spill``, ``crash``,
   ``recover_line``) with an opt-in JSONL file sink;

@@ -104,7 +104,6 @@ METRICS: Dict[str, str] = {
     "nvm.st_slots_touched": "gauge",
     "nvm.st_writes": "counter",
     "phoenix.periodic_persists": "counter",
-    "profile.spans": "counter",
     "phoenix.probe_distance": "histogram",
     "phoenix.st_writes": "counter",
     "recovery.stale_batch": "histogram",

@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 BAR_WIDTH = 32
+SPAN_TREE_ROOTS = 20
+"""Root spans :func:`render_span_tree` prints before eliding the rest."""
 
 
 def _bar(count: int, peak: int, width: int = BAR_WIDTH) -> str:
@@ -81,10 +83,15 @@ def render_histograms(histograms: Dict[str, dict],
 
 
 def render_span_tree(spans: List[dict]) -> str:
-    """The span forest as an indented tree with per-phase timings."""
+    """The span forest as an indented tree with per-phase op counts and
+    timings; a profiled run holds thousands of roots, so only the first
+    :data:`SPAN_TREE_ROOTS` print."""
     if not spans:
         return "(no spans)"
     lines: List[str] = []
+    if len(spans) > SPAN_TREE_ROOTS:
+        lines.append("(showing first %d of %d root spans)"
+                     % (SPAN_TREE_ROOTS, len(spans)))
 
     def walk(span: dict, indent: int) -> None:
         attrs = span.get("attrs") or {}
@@ -92,18 +99,33 @@ def render_span_tree(spans: List[dict]) -> str:
             "%s=%s" % (key, attrs[key]) for key in sorted(attrs)
         )
         error = span.get("error")
-        lines.append("%s%-*s %9.3f ms%s%s" % (
+        lines.append("%s%-*s %8d ops %9.3f ms%s%s" % (
             "  " * indent,
             max(1, 40 - 2 * indent), span["name"],
-            span["duration_s"] * 1e3,
+            span["ops"], span["duration_s"] * 1e3,
             "  " + detail if detail else "",
             "  [error: %s]" % error if error else "",
         ))
         for child in span.get("children") or []:
             walk(child, indent + 1)
 
-    for root in spans:
+    for root in spans[:SPAN_TREE_ROOTS]:
         walk(root, 0)
+    return "\n".join(lines)
+
+
+def render_phase_table(aggregate: Dict[str, Dict]) -> str:
+    """A fixed-width per-phase table for ``star-stats --trace``."""
+    if not aggregate:
+        return "(no phases recorded)"
+    width = max(len(name) for name in aggregate)
+    lines = ["%-*s %10s %12s %12s"
+             % (width, "phase", "count", "ops", "wall_ms")]
+    for name, row in aggregate.items():
+        lines.append(
+            "%-*s %10d %12d %12.3f"
+            % (width, name, row["count"], row["ops"], row["wall_ms"])
+        )
     return "\n".join(lines)
 
 

@@ -12,6 +12,10 @@ recovery lifecycle:
   for test verification,
 * :meth:`Machine.recover` invokes the scheme's recovery procedure with a
   fresh stat namespace so recovery traffic is reported separately.
+
+Both namespaces' span tracers read ``nvm.accesses`` as their op clock,
+so every span — a recovery phase, or a phase that ``profile=True``
+wraps — counts the NVM line accesses it cost.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.config import SystemConfig
-from repro.errors import RecoveryError, VerificationError
+from repro.errors import ConfigError, RecoveryError, VerificationError
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.nvm import NVM
 from repro.schemes.base import PersistenceScheme, RecoveryReport
@@ -30,6 +34,23 @@ from repro.sim.results import RunResult
 from repro.sim.timing import TimingModel
 from repro.util.stats import Stats
 from repro.workloads.trace import Op, OpKind
+
+PROFILED_PHASES = (
+    # (machine attribute, method, span name)
+    ("controller", "write_data", "ctrl.write_data"),
+    ("controller", "read_data", "ctrl.read_data"),
+    ("controller", "_get_node", "tree.verify"),
+    ("controller", "_persist_node", "tree.update"),
+    ("timing", "persist_barrier", "wpq.drain"),
+)
+PROFILED_BITMAP_PHASES = (
+    # STAR's bitmap manager; AdrRegion is __slots__-ed, so its
+    # line-load front door (register or ADR, spilling to the RA) stands
+    # in for the ADR
+    ("mark_stale", "bitmap.maintain"),
+    ("mark_fresh", "bitmap.maintain"),
+    ("_load", "adr.load"),
+)
 
 
 class Machine:
@@ -47,9 +68,15 @@ class Machine:
         ``telemetry=False`` turns off histograms/spans/events (counters
         always count) for overhead-sensitive sweeps. ``sanitize=True``
         installs the runtime write sanitizers (``repro.sim.sanitize``);
-        ``profile=True`` installs the deterministic phase profiler
-        (``repro.obs.profile``); both off by default, so hot paths
-        stay unwrapped."""
+        ``profile=True`` wraps every phase in :data:`PROFILED_PHASES`
+        (and STAR's bitmap phases), plus ``recover``, in a span on the
+        run registry's tracer, so it needs telemetry on. Both are off by
+        default, so hot paths stay unwrapped."""
+        if profile and not telemetry:
+            raise ConfigError(
+                "profile=True records spans, which telemetry=False "
+                "turns off"
+            )
         self.config = config
         self.stats = Stats(enabled=telemetry)
         self.recovery_stats: Optional[Stats] = None
@@ -58,6 +85,9 @@ class Machine:
         else:
             self.nvm = nvm
             self.nvm.stats = self.stats
+        # the op clock lives on the NVM: binding it to the machine would
+        # keep the machine alive in a reference cycle after ``del``
+        self.stats.registry.tracer.op_clock = self.nvm.accesses
         self.registers = registers if registers is not None \
             else OnChipRegisters()
         if isinstance(scheme, str):
@@ -93,12 +123,23 @@ class Machine:
             from repro.sim.sanitize import install_sanitizers
 
             self.sanitizer = install_sanitizers(self)
-        self.profiler = None
+        self.profile = profile
         if profile:
-            # same opt-in wrap-on-install pattern as the sanitizer
-            from repro.obs.profile import install_profiler
+            tracer = self.stats.registry.tracer
+            for owner, method, name in PROFILED_PHASES:
+                tracer.wrap(getattr(self, owner), method, name)
+            tracer.wrap(self, "recover", "recovery")
+            self._profile_bitmap()
 
-            self.profiler = install_profiler(self)
+    def _profile_bitmap(self) -> None:
+        """Wrap the scheme's bitmap phases; ``scheme.attach`` builds a
+        new bitmap manager, so :meth:`recover` calls this again."""
+        bitmap = getattr(self.scheme, "bitmap", None)
+        if bitmap is None:
+            return
+        tracer = self.stats.registry.tracer
+        for method, name in PROFILED_BITMAP_PHASES:
+            tracer.wrap(bitmap, method, name)
 
     # ==================================================================
     # running traces
@@ -236,6 +277,7 @@ class Machine:
         if not self.crashed:
             raise RecoveryError("recover called without a crash")
         recovery_stats = Stats(enabled=self.stats.enabled)
+        recovery_stats.registry.tracer.op_clock = self.nvm.accesses
         run_events = self.stats.registry.events
         if run_events.enabled and not recovery_stats.enabled:
             # the flight recorder armed the event log on an otherwise
@@ -265,6 +307,8 @@ class Machine:
         self.scheme.attach(self.controller)
         if self.sanitizer is not None:
             self.sanitizer.rewire_scheme()
+        if self.profile:
+            self._profile_bitmap()
         if raise_on_failure and not report.verified:
             raise VerificationError(
                 "recovery verification failed: attack detected"

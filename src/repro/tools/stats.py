@@ -139,11 +139,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.events:
         print("wrote %s" % args.events)
     if args.trace:
-        from repro.obs.profile import render_phase_table
+        from repro.obs.render import render_phase_table
+        from repro.obs.tracing import phase_aggregate, write_chrome_trace
 
-        machine.profiler.write_chrome_trace(args.trace)
+        tracers = [stats.registry.tracer
+                   for stats in (machine.stats, machine.recovery_stats)
+                   if stats is not None]
+        write_chrome_trace(args.trace, tracers)
         print()
-        print(render_phase_table(machine.profiler.aggregate()))
+        print(render_phase_table(phase_aggregate(tracers)))
         print("wrote %s" % args.trace)
     return 0
 

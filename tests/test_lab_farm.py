@@ -173,7 +173,7 @@ class TestFailurePaths:
         script = {specs[0].spec_hash: [("error", "boom")] * 2}
         summary = Worker(
             tmp_path / "farm", "w1", clock=clock,
-            retries=0, max_attempts=2, runner=FakeRunner(script),
+            max_attempts=2, runner=FakeRunner(script),
         ).run()
         assert summary["failed"] == 1 and summary["done"] == 0
 
@@ -182,6 +182,28 @@ class TestFailurePaths:
         assert report.failures[0]["error"] == "boom"
         journal = read_journals(coordinator.store)[0]
         assert journal["status"] == "failed"
+        coordinator.close()
+
+
+    def test_failing_cell_executes_max_attempts_times(self, tmp_path):
+        """The board's ``max_attempts`` is the farm's one retry budget:
+        with ``star-lab work`` defaults (3 attempts) a cell that errors
+        on every execution runs 3 times, not 3 board attempts times
+        the in-pool scheduler retries."""
+        from test_lab_scheduler import FakeRunner
+
+        specs = make_specs(1)
+        clock = FakeClock()
+        coordinator, _store, _stats = make_farm(tmp_path, clock=clock)
+        coordinator.prepare(specs, name="failing")
+
+        runner = FakeRunner({specs[0].spec_hash: [("error", "boom")] * 9})
+        summary = Worker(tmp_path / "farm", "w1", clock=clock,
+                         runner=runner).run()
+        assert summary["failed"] == 1
+        assert len(runner.handles) == 3
+        (row,) = coordinator.board.rows()
+        assert (row["state"], row["attempts"]) == ("failed", 3)
         coordinator.close()
 
 

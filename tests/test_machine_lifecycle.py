@@ -14,7 +14,15 @@ Two bugs surfaced by this PR's tooling are pinned here:
   ``sim.validate`` reached into ``nvm._meta`` directly; the public
   traffic-free ``NVM.meta_lines()`` accessor replaces it, and this test
   pins that auditing a machine costs zero NVM traffic either way.
+
+It also pins that a recovered machine dies by reference counting: the
+span op clock lives on the NVM, because a clock bound to the machine
+would hold it, its cache hierarchy and its timing model in a cycle
+until a full collection.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -79,6 +87,29 @@ class TestContinueAfterRecover:
                            nvm=continued.nvm, telemetry=False)
         for line in continued.nvm.data_lines():
             assert rebooted.controller.read_data(line) is not None
+
+
+class TestNoReferenceCycle:
+    def test_recovered_machine_is_freed_on_del(self):
+        gc.collect()
+        gc.disable()
+        try:
+            machine = Machine(small_config(), scheme="star",
+                              telemetry=True)
+            cycle_ops(machine, operations=50, seed=5)
+            machine.crash()
+            machine.recover(raise_on_failure=True)
+            refs = {
+                "machine": weakref.ref(machine),
+                "hierarchy": weakref.ref(machine.hierarchy),
+                "timing": weakref.ref(machine.timing),
+            }
+            del machine
+            alive = sorted(name for name, ref in refs.items()
+                           if ref() is not None)
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestAdrFlushReconciliation:

@@ -29,6 +29,7 @@ from repro.obs.metrics import (
     bucket_exponent,
 )
 from repro.obs.render import (
+    SPAN_TREE_ROOTS,
     render_counters,
     render_events,
     render_histogram,
@@ -266,12 +267,46 @@ class TestSpanTracer:
         assert [span.name for span in tracer.roots] == ["outer", "after"]
 
     def test_bounded_roots(self):
-        tracer = SpanTracer(max_roots=3)
+        """``capacity`` keeps the first roots and counts the rest."""
+        tracer = SpanTracer(capacity=3)
         for i in range(5):
             with tracer.span("s%d" % i):
+                with tracer.span("child"):
+                    pass
+        assert [span.name for span in tracer.roots] == ["s0", "s1", "s2"]
+        assert tracer.dropped == 2
+        tracer.reset()
+        assert tracer.roots == [] and tracer.dropped == 0
+
+    def test_op_clock_times_each_span(self):
+        tracer = SpanTracer()
+        tracer.op_clock = iter(range(100)).__next__
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        assert [span.name for span in tracer.roots] == ["s2", "s3", "s4"]
-        assert tracer.dropped_roots == 2
+        outer = tracer.roots[0]
+        inner = outer.children[0]
+        assert (outer.ts, outer.ops) == (0, 3)
+        assert (inner.ts, inner.ops) == (1, 1)
+        assert outer.to_dict()["ops"] == 3
+
+    def test_wrap_spans_every_call_and_tags_errors(self):
+        class Target:
+            def work(self, value):
+                if value < 0:
+                    raise ValueError(value)
+                return value * 2
+
+        target = Target()
+        tracer = SpanTracer()
+        tracer.wrap(target, "work", "target.work")
+        assert target.work(3) == 6
+        with pytest.raises(ValueError):
+            target.work(-1)
+        assert [(span.name, span.error) for span in tracer.roots] == [
+            ("target.work", None), ("target.work", "ValueError"),
+        ]
+        assert tracer.depth == 0
 
     def test_to_dict_shape(self):
         tracer = SpanTracer()
@@ -504,6 +539,23 @@ class TestRendering:
         assert "phase" in text
         assert "lines=3" in text
         assert "[error: KeyError]" in text
+
+    def test_span_tree_shows_ops_and_elides_extra_roots(self):
+        tracer = SpanTracer()
+        tracer.op_clock = iter(range(0, 1000, 7)).__next__
+        for i in range(SPAN_TREE_ROOTS + 5):
+            with tracer.span("root%d" % i):
+                pass
+        text = render_span_tree(tracer.to_list())
+        lines = text.splitlines()
+        assert lines[0] == "(showing first %d of %d root spans)" % (
+            SPAN_TREE_ROOTS, SPAN_TREE_ROOTS + 5)
+        assert len(lines) == SPAN_TREE_ROOTS + 1
+        assert "root%d " % (SPAN_TREE_ROOTS - 1) in text
+        assert "root%d " % SPAN_TREE_ROOTS not in text
+        assert "7 ops" in lines[1]
+        assert not render_span_tree(
+            tracer.to_list()[:3]).startswith("(showing")
 
     def test_events_dropped_notice(self):
         log = EventLog(capacity=2)

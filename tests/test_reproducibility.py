@@ -116,8 +116,8 @@ GOLDEN_FUZZ_SAMPLE_DIGESTS = {
 }
 
 GOLDEN_RUN_ONE_DIGESTS = {
-    "anubis": "3c830f983376434d",
-    "star": "4a8283fdf98f9f07",
+    "anubis": "178ab9539a7e3c74",
+    "star": "6a83e900c8b4340e",
 }
 
 
