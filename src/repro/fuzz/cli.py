@@ -16,6 +16,9 @@ Examples::
 
     # shrink recorded failures into .trace.gz repro artifacts
     star-fuzz minimize /tmp/fuzz/corpus.jsonl --artifacts /tmp/fuzz
+
+Exit codes: 0 no failures (or every replay reproduced), 1 failures
+found (or a replay diverged), 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.bench.tables import ExperimentTable, render_table
+from repro.errors import ConfigError, ReproError
 from repro.fuzz import corpus as corpus_io
 from repro.fuzz.attacks import ATTACK_MATRIX
 from repro.fuzz.executor import (
@@ -215,8 +219,16 @@ def _corpus_defect(path: Path) -> Optional[str]:
     return (header or {}).get("spec", {}).get("defect")
 
 
+def _existing(path: str) -> Path:
+    """A corpus or artifact path that must exist (a usage error
+    otherwise, not a traceback)."""
+    if not Path(path).is_file():
+        raise ConfigError("no such corpus or artifact file: %s" % path)
+    return Path(path)
+
+
 def _cmd_replay(args) -> int:
-    path = Path(args.path)
+    path = _existing(args.path)
     if path.suffix == ".json":
         reproduced, signature = replay_artifact(path)
         print("%s: reproduces=%s signature=%s"
@@ -243,7 +255,7 @@ def _cmd_replay(args) -> int:
 # minimize
 # ----------------------------------------------------------------------
 def _cmd_minimize(args) -> int:
-    corpus_path = Path(args.corpus)
+    corpus_path = _existing(args.corpus)
     artifacts_dir = (
         Path(args.artifacts) if args.artifacts else corpus_path.parent
     )
@@ -270,11 +282,16 @@ def _cmd_minimize(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    return _cmd_minimize(args)
+    handlers = {
+        "run": _cmd_run,
+        "replay": _cmd_replay,
+        "minimize": _cmd_minimize,
+    }
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print("star-fuzz: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""``repro.lab`` — persistent experiment store + campaign scheduler.
+"""``repro.lab`` — persistent experiment store + campaign engine.
 
 The lab layer turns one-shot experiment scripts into resumable,
 cache-hitting campaigns:
@@ -8,15 +8,18 @@ cache-hitting campaigns:
   seed, crash behaviour, metric selection),
 * :mod:`repro.lab.store` — :class:`ResultStore`, a SQLite-indexed,
   gzip-JSONL-blobbed result store with corruption quarantine,
-* :mod:`repro.lab.scheduler` — :class:`Scheduler`, multiprocess shards
-  with per-job timeout, bounded retry/backoff, SIGINT draining and
-  journaled checkpoints (``star-lab resume``),
+* :mod:`repro.lab.scheduler` — :class:`Scheduler`, the execute loop
+  every worker drives (multiprocess shards, per-job timeout, SIGINT
+  draining), and the campaign journal (``star-lab status``/``resume``),
 * :mod:`repro.lab.gridfile` — grid files re-expressing the paper's
   sweeps (Figs. 10-14, Table II) as campaigns,
-* :mod:`repro.lab.lease` / :mod:`repro.lab.farm` — the distributed
-  campaign farm: a SQLite lease board with fencing tokens, a
-  :class:`Coordinator` (``star-lab serve``) and work-stealing
-  :class:`Worker` pools (``star-lab work``) whose merged stores
+* :mod:`repro.lab.lease` / :mod:`repro.lab.farm` — the one campaign
+  engine: a SQLite lease board with fencing tokens and backoff
+  requeue, a :class:`Coordinator` that seeds and journals it, and
+  work-stealing :class:`Worker` pools. :func:`run_local`
+  (``star-lab run``/``resume``) puts a coordinator and one pool on an
+  in-memory board; a farm (``star-lab serve`` + ``star-lab work``)
+  shares the board on disk or over HTTP and merges worker stores that
   export byte-identically to a serial run,
 * :mod:`repro.lab.bridge` — :class:`LabCache`, the read-through cache
   ``star-bench --lab DIR`` serves figures from,
@@ -26,7 +29,7 @@ cache-hitting campaigns:
 
 from repro.lab.bridge import LabCache
 from repro.lab.clock import BackoffPolicy, Clock, FakeClock
-from repro.lab.farm import Coordinator, Worker
+from repro.lab.farm import Coordinator, Worker, run_local
 from repro.lab.lease import Lease, LeaseBoard
 from repro.lab.executor import execute, payload_to_run_result
 from repro.lab.gridfile import (
@@ -74,4 +77,5 @@ __all__ = [
     "load_grid",
     "payload_to_run_result",
     "resolve_specs",
+    "run_local",
 ]

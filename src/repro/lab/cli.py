@@ -2,7 +2,8 @@
 
 Examples::
 
-    # run the Table II sweep into a store, 4 worker shards
+    # run the Table II sweep into a store, 4 worker shards (a
+    # coordinator and one worker pool on an in-memory lease board)
     star-lab run --grid table2 --store .starlab --jobs 4
 
     # a campaign killed mid-run (Ctrl-C, timeout, crash) resumes
@@ -46,12 +47,11 @@ from repro.bench.tables import ExperimentTable, render_table
 from repro.errors import ConfigError, ReproError
 from repro.lab import gridfile
 from repro.lab.clock import BACKOFF_POLICIES, BackoffPolicy, Clock
-from repro.lab.farm import Coordinator, Worker, board_path
+from repro.lab.farm import Coordinator, Worker, board_path, run_local
 from repro.lab.lease import LeaseBoard
 from repro.lab.net.server import LeaseServer
 from repro.lab.scheduler import (
     CampaignReport,
-    Scheduler,
     checkpoint_rates,
     find_journal,
     journal_specs,
@@ -59,6 +59,7 @@ from repro.lab.scheduler import (
 )
 from repro.lab.spec import RunSpec
 from repro.lab.store import ResultStore
+from repro.tools import int_at_least
 from repro.util.stats import Stats
 
 EXIT_OK = 0
@@ -87,15 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in grid name (%s) or grid JSON path; "
                           "repeatable"
                           % ", ".join(sorted(gridfile.BUILTIN_GRIDS)))
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=int_at_least(1), default=1,
                      help="worker shards (spawn processes when > 1)")
     run.add_argument("--timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-cell timeout (needs --jobs > 1)")
-    run.add_argument("--retries", type=int, default=2,
+    run.add_argument("--retries", type=int_at_least(0), default=2,
                      help="retry budget per cell (default 2)")
     _add_backoff(run)
-    run.add_argument("--max-cells", type=int, default=None,
+    run.add_argument("--max-cells", type=int_at_least(1),
+                     default=None,
                      help="compute at most N cells this invocation "
                           "(controlled interruption; resume later)")
     _add_telemetry(run)
@@ -122,11 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--campaign", default=None, metavar="IDPREFIX",
                         help="journal to resume (unique id prefix); "
                              "default: the only unfinished campaign")
-    resume.add_argument("--jobs", type=int, default=1)
+    resume.add_argument("--jobs", type=int_at_least(1), default=1)
     resume.add_argument("--timeout", type=float, default=None)
-    resume.add_argument("--retries", type=int, default=2)
+    resume.add_argument("--retries", type=int_at_least(0), default=2)
     _add_backoff(resume)
-    resume.add_argument("--max-cells", type=int, default=None)
+    resume.add_argument("--max-cells", type=int_at_least(1),
+                        default=None)
     _add_telemetry(resume)
     resume.add_argument("--quiet", action="store_true")
 
@@ -200,15 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--net-timeout", type=float, default=10.0,
                       metavar="SECONDS",
                       help="per-request HTTP timeout (default 10)")
-    work.add_argument("--net-retries", type=int, default=5,
+    work.add_argument("--net-retries", type=int_at_least(0), default=5,
                       help="HTTP retry budget per request (default 5)")
     work.add_argument("--id", default=None, metavar="NAME",
                       help="worker id (default: w<pid>; must be "
                            "unique per farm)")
-    work.add_argument("--jobs", type=int, default=1,
-                      help="execution shards within this pool")
-    work.add_argument("--batch", type=int, default=None,
-                      help="leases claimed per round (default: --jobs)")
+    work.add_argument("--jobs", type=int_at_least(1), default=1,
+                      help="execution shards within this pool; one "
+                           "lease is claimed per free shard")
     work.add_argument("--timeout", type=float, default=None,
                       metavar="SECONDS",
                       help="per-cell timeout (needs --jobs > 1)")
@@ -217,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="lease duration to claim for (default 60; "
                            "must cover a cell + renewal slack)")
-    work.add_argument("--max-attempts", type=int, default=3,
+    work.add_argument("--max-attempts", type=int_at_least(1),
+                      default=3,
                       help="cross-worker attempts before a cell is "
                            "failed terminally (default 3)")
     work.add_argument("--poll", type=float, default=0.2,
@@ -271,8 +274,8 @@ def _add_telemetry(sub: argparse.ArgumentParser) -> None:
                           "star-top; DIR defaults to <store>/telemetry")
     sub.add_argument("--heartbeat-interval", type=float, default=1.0,
                      metavar="SECONDS",
-                     help="min seconds between scheduler heartbeats "
-                          "(default 1.0)")
+                     help="min seconds between coordinator "
+                          "heartbeats (default 1.0)")
 
 
 # ----------------------------------------------------------------------
@@ -318,14 +321,13 @@ def _run_specs(args: argparse.Namespace, specs: List[RunSpec],
         telemetry_dir = (Path(args.store) / "telemetry"
                          if args.telemetry == "auto"
                          else Path(args.telemetry))
-    scheduler = Scheduler(
-        store, jobs=args.jobs, timeout_s=args.timeout,
-        retries=args.retries, backoff=_backoff_policy(args),
-        stats=stats, telemetry_dir=telemetry_dir,
+    report = run_local(
+        store, specs, name=name, jobs=args.jobs,
+        timeout_s=args.timeout, retries=args.retries,
+        backoff=_backoff_policy(args), max_cells=args.max_cells,
+        stats=stats, telemetry=telemetry_dir,
         heartbeat_interval_s=getattr(args, "heartbeat_interval", 1.0),
     )
-    report = scheduler.run(specs, name=name,
-                           max_cells=args.max_cells)
     if not args.quiet:
         print(render_table(_report_table(report, stats)))
     if report.failed:
@@ -406,8 +408,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if stale_seen:
         table.notes.append(
             "(stale): running campaign with no checkpoint for more "
-            "than %.0fs — scheduler likely dead; star-lab resume "
-            "continues it" % getattr(args, "stale_after", 30.0)
+            "than %.0fs — its coordinator likely died; star-lab "
+            "resume (or serve) continues it"
+            % getattr(args, "stale_after", 30.0)
         )
     print(render_table(table))
     return EXIT_OK
@@ -535,9 +538,8 @@ def _cmd_work(args: argparse.Namespace) -> int:
               "--coordinator URL (HTTP)", file=sys.stderr)
         return 2
     worker = Worker(
-        base, worker_id, jobs=args.jobs, batch=args.batch,
-        lease_s=args.lease, timeout_s=args.timeout,
-        backoff=_backoff_policy(args),
+        base, worker_id, jobs=args.jobs, lease_s=args.lease,
+        timeout_s=args.timeout, backoff=_backoff_policy(args),
         max_attempts=args.max_attempts, poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
         wait_s=args.wait,
@@ -548,12 +550,11 @@ def _cmd_work(args: argparse.Namespace) -> int:
     summary = worker.run()
     if not args.quiet:
         print("star-lab work %(worker)s: %(done)d done, "
-              "%(failed)d failed, %(stolen)d stolen over "
-              "%(batches)d batches" % summary)
+              "%(failed)d failed, %(stolen)d stolen" % summary)
         if summary["interrupted"]:
-            print("star-lab work %s: interrupted; any claimed cell it "
-                  "did not run returns to the board when its lease "
-                  "expires" % worker_id)
+            print("star-lab work %s: interrupted; a cell it aborted "
+                  "returns to the board when its lease expires"
+                  % worker_id)
     if summary["failed"]:
         return EXIT_FAILURES
     if summary["interrupted"]:

@@ -37,12 +37,11 @@ BACKOFF_POLICIES = ("linear", "exponential")
 class BackoffPolicy:
     """A retry delay schedule: attempt number in, seconds out.
 
-    ``linear`` waits ``base_s * attempt`` (the scheduler's historical
+    ``linear`` waits ``base_s * attempt`` (the lab's historical
     behaviour); ``exponential`` waits ``base_s * 2**(attempt-1)``.
     Both are capped at ``cap_s`` so a long retry chain cannot grow an
-    unbounded sleep. Shared by :class:`~repro.lab.scheduler.Scheduler`
-    retries and the farm workers' lease re-claim pacing
-    (:mod:`repro.lab.farm`).
+    unbounded sleep. Shared by the lease board's retry requeues and
+    the workers' idle re-claim pacing (:mod:`repro.lab.farm`).
     """
 
     policy: str = "linear"

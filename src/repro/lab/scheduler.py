@@ -1,35 +1,34 @@
-"""The sharded, resumable campaign scheduler.
+"""The sharded execute loop, and the campaign journal format.
 
 A campaign is an ordered list of :class:`~repro.lab.spec.RunSpec`
-cells. The scheduler first consults the store — cells with a stored
-record are *resumed* (skipped) — then fans the remainder out over
-worker processes, committing each result from the parent process so
-the store only ever has one writer. Because every cell's payload is a
-pure function of its spec, a sharded run commits exactly the records a
-serial run would: kill-and-resume equivalence is a store property, not
-a scheduling property.
+cells, and every campaign runs on a lease board
+(:mod:`repro.lab.farm`): ``star-lab run`` on an in-memory one,
+``star-lab serve`` on a shared one. Whichever board feeds it, the
+cells execute in :meth:`Scheduler.execute`, the loop each farm
+worker drives. It reads its specs lazily, one per free shard, commits
+each result to the worker's store and reports every finished cell to
+its caller at once. Because every cell's payload is a pure function of
+its spec, a sharded run commits exactly the records a serial run
+would: kill-and-resume equivalence is a store property, not a
+scheduling property.
 
-Robustness machinery:
+The loop's robustness machinery:
 
-* per-job timeout — a stuck worker is terminated and the cell retried,
-* bounded retry under a configurable :class:`~repro.lab.clock
-  .BackoffPolicy` (linear or capped exponential, waited out through
-  the injectable :class:`~repro.lab.clock.Clock`, so tests use
-  ``FakeClock``),
-* graceful SIGINT draining — the first Ctrl-C stops launching and lets
-  in-flight cells finish and commit; the second kills them,
-* a campaign journal under ``<store>/campaigns/<id>.json`` checkpointed
-  after every commit, so ``star-lab status`` and ``star-lab resume``
-  know exactly where a killed campaign stopped.
+* per-job timeout — a stuck worker process is terminated and the cell
+  reported failed (the board decides whether it runs again, after the
+  :class:`~repro.lab.clock.BackoffPolicy` delay),
+* graceful SIGINT draining — the first Ctrl-C stops taking cells and
+  lets in-flight cells finish and report; the second kills them.
 
-:meth:`Scheduler.run` is the campaign owner's entry point (journal +
-SIGINT handler around the loop); :meth:`Scheduler.execute` is the bare
-loop, which farm workers call for each leased chunk of a campaign the
-coordinator journals.
+The campaign journal under ``<store>/campaigns/<id>.json`` is written
+by the campaign's owner, a :class:`~repro.lab.farm.Coordinator`, and
+read by ``star-lab status``/``resume`` and ``star-top``; its writer
+and readers live here.
 
 Metrics (see ``repro.obs.catalog``): ``lab.jobs.scheduled`` /
-``resumed`` / ``completed`` / ``retried`` / ``timeouts`` / ``failed``,
-``lab.job.wall_ms`` and ``lab.campaign.wall_s``; store hits/misses are
+``completed`` / ``timeouts`` / ``failed`` count executions and
+``lab.job.wall_ms`` times them; ``lab.jobs.resumed`` (cells the
+store already held) is the coordinator's. Store hits/misses are
 counted by :class:`~repro.lab.store.ResultStore` itself.
 """
 
@@ -51,6 +50,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -60,9 +60,8 @@ from typing import (
     cast,
 )
 
-from repro.lab.clock import BackoffPolicy, Clock
+from repro.lab.clock import Clock
 from repro.lab.executor import execute
-from repro.lab.gridfile import campaign_id
 from repro.lab.spec import RunSpec, canonical_json
 from repro.lab.store import ResultStore, git_revision
 from repro.util.stats import Stats
@@ -71,13 +70,12 @@ if TYPE_CHECKING:
     from multiprocessing.connection import Connection
     from multiprocessing.context import BaseContext
 
-    from repro.obs.live import HeartbeatWriter
-
 Outcome = Tuple[str, object]
 """("ok", payload) or ("error", message)."""
 
-Telemetry = Tuple[str, str]
-"""A ``(directory, worker name)`` heartbeat destination."""
+CellCallback = Callable[[RunSpec, Optional[str]], None]
+"""Told about each finished cell: its spec and error text (``None``
+when the payload was committed)."""
 
 SignalHandler = Union[
     Callable[[int, Optional[FrameType]], Any], int, signal.Handlers, None
@@ -93,35 +91,10 @@ rewrites cheap)."""
 # ----------------------------------------------------------------------
 # job runners (real processes in production, fakes in tests)
 # ----------------------------------------------------------------------
-def _heartbeat_writer(
-    telemetry: Optional[Telemetry],
-) -> Optional["HeartbeatWriter"]:
-    """Build a worker-side heartbeat writer from a ``(dir, name)``
-    pair; ``None`` passes through (telemetry is strictly opt-in)."""
-    if telemetry is None:
-        return None
-    from repro.obs.live import HeartbeatWriter
-
-    directory, worker = telemetry
-    return HeartbeatWriter(directory, worker, interval_s=0.0)
-
-
-def _worker_main(conn: "Connection", spec_dict: Dict,
-                 telemetry: Optional[Telemetry] = None) -> None:
+def _worker_main(conn: "Connection", spec_dict: Dict) -> None:
     """Child-process entry point: execute one spec, send the payload."""
     try:
-        spec = RunSpec.from_dict(spec_dict)
-        writer = _heartbeat_writer(telemetry)
-        if writer is not None:
-            writer.write(progress={"state": "running",
-                                   "label": spec.label,
-                                   "spec": spec.spec_hash}, force=True)
-        payload = execute(spec)
-        if writer is not None:
-            writer.write(progress={"state": "done",
-                                   "label": spec.label,
-                                   "spec": spec.spec_hash}, force=True)
-        conn.send(("ok", payload))
+        conn.send(("ok", execute(RunSpec.from_dict(spec_dict))))
     except BrokenPipeError:
         pass  # parent killed mid-job; the lease system re-runs the cell
     except BaseException:
@@ -147,31 +120,20 @@ class JobHandle(Protocol):
 class JobRunner(Protocol):
     """What the scheduler needs from a job launcher."""
 
-    def start(self, spec: RunSpec, clock: Clock,
-              telemetry: Optional[Telemetry] = None) -> JobHandle: ...
+    def start(self, spec: RunSpec, clock: Clock) -> JobHandle: ...
 
 
 class InlineHandle:
     """A job executed synchronously in the scheduler process."""
 
-    def __init__(self, spec: RunSpec, started: float,
-                 telemetry: Optional[Telemetry] = None) -> None:
+    def __init__(self, spec: RunSpec, started: float) -> None:
         self.started = started
-        writer = _heartbeat_writer(telemetry)
-        if writer is not None:
-            writer.write(progress={"state": "running",
-                                   "label": spec.label,
-                                   "spec": spec.spec_hash}, force=True)
         try:
             self._outcome: Outcome = ("ok", execute(spec))
         except Exception:
             self._outcome = (
                 "error", traceback.format_exc(limit=6).strip()
             )
-        if writer is not None:
-            writer.write(progress={"state": "done",
-                                   "label": spec.label,
-                                   "spec": spec.spec_hash}, force=True)
 
     def poll(self) -> Optional[Outcome]:
         return self._outcome
@@ -183,24 +145,19 @@ class InlineHandle:
 class InlineRunner:
     """Serial execution: no processes, no preemption (jobs <= 1)."""
 
-    supports_telemetry = True
-
-    def start(self, spec: RunSpec, clock: Clock,
-              telemetry: Optional[Telemetry] = None) -> InlineHandle:
-        return InlineHandle(spec, clock.now(), telemetry=telemetry)
+    def start(self, spec: RunSpec, clock: Clock) -> InlineHandle:
+        return InlineHandle(spec, clock.now())
 
 
 class ProcessHandle:
     """One spawned worker process executing one cell."""
 
     def __init__(self, context: "BaseContext", spec: RunSpec,
-                 started: float,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 started: float) -> None:
         self.started = started
         self._recv, child = context.Pipe(duplex=False)
         self.process = context.Process(
-            target=_worker_main,
-            args=(child, spec.to_dict(), telemetry),
+            target=_worker_main, args=(child, spec.to_dict()),
         )
         self.process.start()
         child.close()
@@ -236,30 +193,19 @@ class ProcessHandle:
 class ProcessRunner:
     """Spawn-start workers: the cold start a reproducing dev gets."""
 
-    supports_telemetry = True
-
     def __init__(self) -> None:
         self._context = multiprocessing.get_context("spawn")
 
-    def start(self, spec: RunSpec, clock: Clock,
-              telemetry: Optional[Telemetry] = None) -> ProcessHandle:
-        return ProcessHandle(self._context, spec, clock.now(),
-                             telemetry=telemetry)
+    def start(self, spec: RunSpec, clock: Clock) -> ProcessHandle:
+        return ProcessHandle(self._context, spec, clock.now())
 
 
 # ----------------------------------------------------------------------
 # campaign bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
-class _Job:
-    spec: RunSpec
-    attempts: int = 0
-    not_before: float = 0.0
-
-
-@dataclass
 class CampaignReport:
-    """What one scheduler invocation did."""
+    """What one campaign invocation did."""
 
     campaign_id: str
     name: str
@@ -292,25 +238,17 @@ class CampaignReport:
 
 
 class Scheduler:
-    """Run campaigns against one store with bounded worker shards."""
+    """Execute cells into one store with bounded worker shards."""
 
     def __init__(self, store: ResultStore, jobs: int = 1,
-                 timeout_s: Optional[float] = None, retries: int = 2,
-                 backoff_s: float = 0.5,
-                 backoff: Optional[BackoffPolicy] = None,
+                 timeout_s: Optional[float] = None,
                  clock: Optional[Clock] = None,
                  stats: Optional[Stats] = None,
                  poll_interval_s: float = 0.02,
-                 runner: Optional[JobRunner] = None,
-                 telemetry_dir: Optional[Union[str, Path]] = None,
-                 heartbeat_interval_s: float = 1.0) -> None:
+                 runner: Optional[JobRunner] = None) -> None:
         self.store = store
         self.jobs = max(1, jobs)
         self.timeout_s = timeout_s
-        self.retries = max(0, retries)
-        # ``backoff_s`` is the legacy linear knob; a full policy wins
-        self.backoff = (backoff if backoff is not None
-                        else BackoffPolicy("linear", base_s=backoff_s))
         self.clock = clock if clock is not None else Clock()
         self.stats = stats if stats is not None else store.stats
         self.poll_interval_s = poll_interval_s
@@ -318,16 +256,13 @@ class Scheduler:
             runner = (InlineRunner() if self.jobs <= 1
                       else ProcessRunner())
         self.runner = runner
-        self.telemetry_dir = telemetry_dir
-        self.heartbeat_interval_s = heartbeat_interval_s
         self._stop_requests = 0
-        self._checkpoints: List[Dict] = []
 
     # ------------------------------------------------------------------
     # stopping (SIGINT draining)
     # ------------------------------------------------------------------
     def request_stop(self) -> int:
-        """Ask the campaign to stop: once drains, twice aborts."""
+        """Ask the loop to stop: once drains, twice aborts."""
         self._stop_requests += 1
         return self._stop_requests
 
@@ -366,146 +301,51 @@ class Scheduler:
             return None
 
     # ------------------------------------------------------------------
-    # journal (the resume checkpoint)
+    # the execute loop
     # ------------------------------------------------------------------
-    def _journal_path(self, cid: str) -> Path:
-        return self.store.campaigns_path / (cid + ".json")
+    def execute(self, specs: Iterable[Optional[RunSpec]],
+                on_cell: Optional[CellCallback] = None) -> None:
+        """Run cells as shards free up, reporting each as it finishes.
 
-    def _load_checkpoints(self, cid: str) -> List[Dict]:
-        """Prior checkpoints from an existing journal, so a resumed
-        campaign's throughput history continues instead of resetting."""
-        try:
-            with open(self._journal_path(cid)) as handle:
-                journal = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return []
-        checkpoints = journal.get("checkpoints", [])
-        if not isinstance(checkpoints, list):
-            return []
-        return [entry for entry in checkpoints
-                if isinstance(entry, dict)]
-
-    def _checkpoint(self, report: CampaignReport) -> None:
-        """Append a (wall clock, cells stored) progress sample."""
-        self._checkpoints.append({
-            "wall_s": self.clock.wall(),
-            "stored": report.resumed + report.completed,
-        })
-
-    # ------------------------------------------------------------------
-    # live telemetry (the star-top feed)
-    # ------------------------------------------------------------------
-    def _parent_heartbeat(self) -> Optional["HeartbeatWriter"]:
-        """The scheduler's own heartbeat writer (or ``None``)."""
-        if self.telemetry_dir is None:
-            return None
-        from repro.obs.live import HeartbeatWriter
-
-        return HeartbeatWriter(
-            self.telemetry_dir, "scheduler", clock=self.clock,
-            interval_s=self.heartbeat_interval_s, stats=self.stats,
-        )
-
-    def _start(self, spec: RunSpec, slot: int) -> JobHandle:
-        """Launch one cell, passing worker telemetry when supported."""
-        if (self.telemetry_dir is not None
-                and getattr(self.runner, "supports_telemetry", False)):
-            telemetry = (str(self.telemetry_dir), "w%d" % slot)
-            return self.runner.start(spec, self.clock,
-                                     telemetry=telemetry)
-        return self.runner.start(spec, self.clock)
-
-    # ------------------------------------------------------------------
-    # the campaign loop
-    # ------------------------------------------------------------------
-    def run(self, specs: List[RunSpec], name: str = "campaign",
-            max_cells: Optional[int] = None) -> CampaignReport:
-        """Execute a campaign as its owner: journaled, Ctrl-C drains.
-
-        Wraps :meth:`execute` with the campaign journal under
-        ``<store>/campaigns/`` (checkpointed after the pre-scan and
-        after every commit, finalized at the end) and the two-stage
-        SIGINT handler. ``max_cells`` bounds how many cells this
-        invocation *computes* (cached cells are free) — the
-        controlled-interruption knob the kill/resume CI leg uses.
+        ``specs`` is read lazily, one spec per free shard; a ``None``
+        means "nothing to start yet" and is asked again once a running
+        cell finishes (at once when none runs). A finished cell's
+        payload is committed to the store, then ``on_cell`` sees the
+        spec with ``None``; a failed or timed-out cell is reported with
+        its error text and never retried here — the caller's lease
+        board decides whether it runs again. The first stop request
+        stops reading ``specs`` and lets in-flight cells finish and
+        report; the second aborts them unreported.
         """
-        cid = campaign_id(specs)
-        self._checkpoints = self._load_checkpoints(cid)
-        spec_dicts = [spec.to_dict() for spec in specs]
-
-        def checkpoint(report: CampaignReport) -> None:
-            self._checkpoint(report)
-            write_journal(self.store, cid, name, spec_dicts, "running",
-                          report, self._checkpoints)
-
-        with self.draining_sigint():
-            report = self.execute(specs, name=name, max_cells=max_cells,
-                                  on_progress=checkpoint)
-        status = ("interrupted" if report.interrupted
-                  else "failed" if report.failed else "complete")
-        write_journal(self.store, cid, name, spec_dicts, status, report,
-                      self._checkpoints)
-        return report
-
-    def execute(self, specs: List[RunSpec], name: str = "campaign",
-                max_cells: Optional[int] = None,
-                on_progress: Optional[
-                    Callable[[CampaignReport], None]] = None,
-                ) -> CampaignReport:
-        """The execute loop: skip stored cells, run the rest.
-
-        Shards, timeouts, retries and stop requests apply; no journal
-        is written and no signal handler installed — that is the
-        campaign owner's job (:meth:`run`, or a farm worker executing
-        leased chunks for the coordinator's campaign).
-        ``on_progress`` sees the report after the pre-scan and after
-        every commit.
-        """
-        report = CampaignReport(campaign_id=campaign_id(specs),
-                                name=name, total=len(specs))
-        self.stats.add("lab.jobs.scheduled", len(specs))
-        started_at = self.clock.now()
-        parent_beat = self._parent_heartbeat()
-
+        source = iter(specs)
         provenance = {"git_rev": git_revision()}
-        pending: List[_Job] = []
-        for spec in specs:
-            if self.store.get(spec) is not None:
-                report.resumed += 1
-                self.stats.add("lab.jobs.resumed")
-            else:
-                pending.append(_Job(spec))
-        if on_progress is not None:
-            on_progress(report)
-        if parent_beat is not None:
-            parent_beat.write(registry=self.stats.registry,
-                              progress=report.summary(), force=True)
-
-        running: List[Tuple[_Job, JobHandle, int]] = []
-        free_slots = list(range(self.jobs - 1, -1, -1))
-        launched = 0
-        while pending or running:
+        running: List[Tuple[RunSpec, JobHandle]] = []
+        exhausted = waiting = False
+        while True:
             progressed = False
-
-            # launch up to the shard budget
-            while (pending and len(running) < self.jobs
-                   and self._stop_requests == 0
-                   and (max_cells is None or launched < max_cells)):
-                job = self._next_eligible(pending)
-                if job is None:
+            waiting = waiting and bool(running)
+            while (not exhausted and not waiting
+                   and len(running) < self.jobs
+                   and self._stop_requests == 0):
+                try:
+                    spec = next(source)
+                except StopIteration:
+                    exhausted = True
                     break
-                pending.remove(job)
-                slot = free_slots.pop()
-                running.append((job, self._start(job.spec, slot), slot))
-                launched += 1
+                if spec is None:
+                    waiting = True
+                    break
+                running.append((spec, self.runner.start(spec,
+                                                        self.clock)))
+                self.stats.add("lab.jobs.scheduled")
                 progressed = True
 
-            # reap finished / overdue workers
-            for job, handle, slot in list(running):
+            for entry in list(running):
+                spec, handle = entry
                 outcome = handle.poll()
-                now = self.clock.now()
+                elapsed_s = self.clock.now() - handle.started
                 if (outcome is None and self.timeout_s is not None
-                        and now - handle.started > self.timeout_s):
+                        and elapsed_s > self.timeout_s):
                     handle.stop()
                     self.stats.add("lab.jobs.timeouts")
                     outcome = (
@@ -513,85 +353,37 @@ class Scheduler:
                     )
                 if outcome is None:
                     continue
-                running.remove((job, handle, slot))
-                free_slots.append(slot)
+                running.remove(entry)
                 progressed = True
+                waiting = False
                 status, value = outcome
+                error = None
                 if status == "ok":
-                    self._commit(job, cast(Dict, value), provenance,
-                                 now - handle.started, report)
-                    if on_progress is not None:
-                        on_progress(report)
+                    self._commit(spec, cast(Dict, value), provenance,
+                                 elapsed_s)
                 else:
-                    self._retry_or_fail(job, str(value), pending, report)
+                    error = str(value)
+                    self.stats.add("lab.jobs.failed")
+                if on_cell is not None:
+                    on_cell(spec, error)
 
-            if parent_beat is not None:
-                parent_beat.write(registry=self.stats.registry,
-                                  progress=report.summary())
             if self._stop_requests >= 2:
-                # aborted cells go back to pending: still to be done
-                for job, handle, slot in running:
+                for _spec, handle in running:
                     handle.stop()
-                    free_slots.append(slot)
-                    pending.append(job)
                 running.clear()
-            if self._stop_requests >= 1 and not running:
-                break
-            if (not running and pending
-                    and max_cells is not None
-                    and launched >= max_cells):
-                break
-            if not progressed and (pending or running):
+            if not running and (exhausted or self._stop_requests):
+                return
+            if not progressed:
                 self.clock.sleep(self.poll_interval_s)
 
-        report.interrupted = bool(pending)
-        self.stats.gauge_set(
-            "lab.campaign.wall_s", self.clock.now() - started_at
-        )
-        if parent_beat is not None:
-            parent_beat.write(registry=self.stats.registry,
-                              progress=report.summary(), force=True)
-        return report
-
-    # ------------------------------------------------------------------
-    def _next_eligible(self, pending: List[_Job]) -> Optional[_Job]:
-        now = self.clock.now()
-        for job in pending:
-            if job.not_before <= now:
-                return job
-        return None
-
-    def _commit(self, job: _Job, payload: Dict, provenance: Dict,
-                elapsed_s: float, report: CampaignReport) -> None:
+    def _commit(self, spec: RunSpec, payload: Dict, provenance: Dict,
+                elapsed_s: float) -> None:
         spec_provenance = dict(provenance)
-        spec_provenance["config_digest"] = _short_digest(
-            job.spec.config
-        )
-        self.store.put(job.spec, payload, spec_provenance,
+        spec_provenance["config_digest"] = _short_digest(spec.config)
+        self.store.put(spec, payload, spec_provenance,
                        wall_time_s=elapsed_s)
-        report.completed += 1
         self.stats.add("lab.jobs.completed")
         self.stats.observe("lab.job.wall_ms", elapsed_s * 1000.0)
-
-    def _retry_or_fail(self, job: _Job, error: str,
-                       pending: List[_Job],
-                       report: CampaignReport) -> None:
-        job.attempts += 1
-        if job.attempts <= self.retries:
-            self.stats.add("lab.jobs.retried")
-            job.not_before = (
-                self.clock.now() + self.backoff.delay(job.attempts)
-            )
-            pending.append(job)
-            return
-        report.failed += 1
-        self.stats.add("lab.jobs.failed")
-        report.failures.append({
-            "spec_hash": job.spec.spec_hash,
-            "label": job.spec.label,
-            "attempts": job.attempts,
-            "error": error.splitlines()[-1] if error else "unknown",
-        })
 
 
 def _short_digest(config_payload: Dict) -> str:
@@ -600,8 +392,12 @@ def _short_digest(config_payload: Dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# journal writer (shared with the farm coordinator)
+# journal writer (the coordinator's)
 # ----------------------------------------------------------------------
+def journal_path(store: ResultStore, cid: str) -> Path:
+    return store.campaigns_path / (cid + ".json")
+
+
 def write_journal(store: ResultStore, cid: str, name: str,
                   spec_dicts: List[Dict], status: str,
                   report: CampaignReport,
@@ -610,10 +406,10 @@ def write_journal(store: ResultStore, cid: str, name: str,
 
     The journal is the single checkpoint format every progress reader
     (``star-lab status``/``resume``, ``star-top``) consumes. Only the
-    campaign's owner writes it: a local :class:`Scheduler` (``run``)
-    or a farm :class:`~repro.lab.farm.Coordinator`. ``spec_dicts`` is
-    the campaign's spec list as :meth:`RunSpec.to_dict` data, built
-    once per campaign rather than at every checkpoint.
+    campaign's owner, a :class:`~repro.lab.farm.Coordinator`, writes
+    it. ``spec_dicts`` is the campaign's spec list as
+    :meth:`RunSpec.to_dict` data, built once per campaign rather than
+    at every checkpoint.
     """
     payload = {
         "campaign_id": cid,
@@ -626,7 +422,7 @@ def write_journal(store: ResultStore, cid: str, name: str,
         "specs": spec_dicts,
     }
     store.campaigns_path.mkdir(exist_ok=True)
-    path = store.campaigns_path / (cid + ".json")
+    path = journal_path(store, cid)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -637,18 +433,36 @@ def write_journal(store: ResultStore, cid: str, name: str,
 # ----------------------------------------------------------------------
 # journal readers (status / resume)
 # ----------------------------------------------------------------------
+def _read_journal(path: Path) -> Optional[Dict]:
+    try:
+        with open(path) as handle:
+            journal = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+    if isinstance(journal, dict) and "campaign_id" in journal:
+        return journal
+    return None
+
+
 def read_journals(store: ResultStore) -> List[Dict]:
     """Every campaign journal in the store, sorted by id."""
     journals = []
     for path in sorted(store.campaigns_path.glob("*.json")):
-        try:
-            with open(path) as handle:
-                journal = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(journal, dict) and "campaign_id" in journal:
+        journal = _read_journal(path)
+        if journal is not None:
             journals.append(journal)
     return journals
+
+
+def journal_checkpoints(store: ResultStore, cid: str) -> List[Dict]:
+    """A campaign's checkpoint history so far (empty without a
+    journal), so a resumed or re-served campaign continues it instead
+    of resetting its throughput history."""
+    journal = _read_journal(journal_path(store, cid)) or {}
+    checkpoints = journal.get("checkpoints", [])
+    if not isinstance(checkpoints, list):
+        return []
+    return [entry for entry in checkpoints if isinstance(entry, dict)]
 
 
 def journal_specs(journal: Dict) -> List[RunSpec]:
@@ -674,10 +488,11 @@ def checkpoint_rates(journal: Dict, now_wall: Optional[float] = None,
     Throughput comes from the first-to-last checkpoint delta (cells
     stored per wall second). ETA extrapolates the remaining cell count
     at that rate. ``stale`` is true for a *running* campaign whose last
-    checkpoint is older than ``stale_after_s`` — the scheduler
-    checkpoints after every commit, so silence means the process died
-    or hung. Either rate is ``None`` when the history can't support it
-    (fewer than two checkpoints, or no forward progress yet).
+    checkpoint is older than ``stale_after_s`` — a local campaign
+    checkpoints after every settled cell, so silence means the process
+    died or hung. Either rate is ``None`` when the history can't
+    support it (fewer than two checkpoints, or no forward progress
+    yet).
     """
     checkpoints = [
         entry for entry in journal.get("checkpoints", [])

@@ -51,7 +51,6 @@ METRICS: Dict[str, str] = {
     "fuzz.failures": "counter",
     "fuzz.tamper_applied": "counter",
     "fuzz.violations": "counter",
-    "lab.campaign.wall_s": "gauge",
     "lab.farm.cells": "gauge",
     "lab.farm.cells_done": "counter",
     "lab.farm.cells_failed": "counter",
@@ -71,7 +70,6 @@ METRICS: Dict[str, str] = {
     "lab.jobs.completed": "counter",
     "lab.jobs.failed": "counter",
     "lab.jobs.resumed": "counter",
-    "lab.jobs.retried": "counter",
     "lab.jobs.scheduled": "counter",
     "lab.jobs.timeouts": "counter",
     "lab.net.duplicates": "counter",

@@ -1,6 +1,6 @@
 """Cross-process telemetry shipping: heartbeats + parent aggregation.
 
-The lab scheduler's spawn workers and the fuzzer's pool workers are
+The lab's worker pools and the fuzzer's pool workers are
 opaque while a campaign executes — their metric registries live in
 other processes and only surface (if at all) when the campaign ends.
 This module is the live plane underneath ``star-top``:

@@ -226,7 +226,7 @@ def render_dashboard(status: Dict) -> str:
     counters = status["metrics"]["counters"]
     interesting = [
         ("stored", "lab.jobs.completed"),
-        ("retried", "lab.jobs.retried"),
+        ("retried", "lab.farm.cells_requeued"),
         ("hits", "lab.store.hits"),
         ("misses", "lab.store.misses"),
         ("cases", "fuzz.cases"),

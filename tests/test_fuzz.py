@@ -157,3 +157,25 @@ class TestCli:
         fuzz_main(["run", "--cases", "4", "--seed", "2",
                    "--corpus", str(corpus), "--quiet"])
         assert fuzz_main(["replay", str(corpus)]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--cases", "-3"], "at least one case"),
+        (["run", "--min-operations", "0"], "operation-count range"),
+        (["run", "--min-operations", "50", "--max-operations", "10"],
+         "operation-count range"),
+        (["run", "--attack-rate", "2"], "attack rate"),
+        (["run", "--schemes", "nosuch"], "unknown scheme"),
+        (["replay", "{missing}"], "no such corpus"),
+        (["minimize", "{missing}"], "no such corpus"),
+    ])
+    def test_usage_errors_exit_2_with_a_message(
+            self, argv, message, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [arg.format(missing=missing) for arg in argv]
+        if argv[0] == "run":
+            argv += ["--corpus", str(tmp_path / "corpus.jsonl")]
+        assert fuzz_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("star-fuzz: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "corpus.jsonl").exists()

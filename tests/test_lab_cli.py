@@ -206,6 +206,85 @@ class TestFarmVerbs:
         assert "claimed 2" in output
 
 
+class TestOneBoardOneCampaign:
+    def _grid(self, tmp_path, name, workload):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({
+            "name": name, "kind": "bench", "scale": "smoke",
+            "schemes": ["wb", "star"], "workloads": [workload],
+            "seed": 7, "operations": 40,
+        }))
+        return str(path)
+
+    def test_serving_another_campaign_on_a_board_is_refused(
+            self, tmp_path, capsys):
+        grid_a = self._grid(tmp_path, "grid-a", "array")
+        grid_b = self._grid(tmp_path, "grid-b", "hash")
+        store_dir = str(tmp_path / "farmed")
+        farm_dir = str(tmp_path / "farmed/farm")
+        run_cli("serve", "--grid", grid_a, "--store", store_dir,
+                "--farm", farm_dir, "--max-wall", "0", "--quiet")
+        run_cli("work", "--farm", farm_dir, "--id", "w1",
+                "--wait", "5", "--quiet")
+        capsys.readouterr()
+        # B's cells would sit on A's board, and A's merge would wait
+        # on them forever
+        assert run_cli("serve", "--grid", grid_b, "--store", store_dir,
+                       "--farm", farm_dir, "--max-wall", "0",
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert farm_dir in err and "another campaign" in err
+        # re-serving A, or a superset of it, still re-adopts the board
+        assert run_cli("serve", "--grid", grid_a, "--grid", grid_b,
+                       "--store", store_dir, "--farm", farm_dir,
+                       "--max-wall", "0", "--quiet") == 3
+        assert run_cli("work", "--farm", farm_dir, "--id", "w1",
+                       "--wait", "5", "--quiet") == 0
+        assert run_cli("serve", "--grid", grid_a, "--grid", grid_b,
+                       "--store", store_dir, "--farm", farm_dir,
+                       "--max-wall", "60", "--quiet") == 0
+        assert len(ResultStore(store_dir)) == 4
+
+
+def exit_code(argv):
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--jobs", "0"], "--jobs"),
+        (["run", "--jobs", "-2"], "--jobs"),
+        (["run", "--retries", "-1"], "--retries"),
+        (["run", "--max-cells", "0"], "--max-cells"),
+        (["run", "--max-cells", "-1"], "--max-cells"),
+        (["resume", "--jobs", "0"], "--jobs"),
+        (["resume", "--retries", "-1"], "--retries"),
+        (["resume", "--max-cells", "0"], "--max-cells"),
+        (["work", "--jobs", "0"], "--jobs"),
+        (["work", "--max-attempts", "0"], "--max-attempts"),
+        (["work", "--net-retries", "-1"], "--net-retries"),
+    ])
+    def test_bad_values_exit_2_with_a_message(
+            self, argv, flag, grid_path, tmp_path, capsys):
+        store_dir = str(tmp_path / "lab")
+        farm_dir = str(tmp_path / "lab/farm")
+        if argv[0] == "work":
+            # a served board, so an accepted value would run cells
+            run_cli("serve", "--grid", grid_path, "--store", store_dir,
+                    "--farm", farm_dir, "--max-wall", "0", "--quiet")
+            argv = argv + ["--farm", farm_dir, "--wait", "0"]
+        else:
+            argv = argv + ["--grid", grid_path, "--store", store_dir]
+        capsys.readouterr()
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert len(ResultStore(store_dir)) == 0
+
+
 class TestBackoffFlags:
     def test_run_accepts_backoff_policy_flags(
             self, grid_path, tmp_path):

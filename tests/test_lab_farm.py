@@ -2,7 +2,7 @@
 
 The acceptance property is byte-equivalence: however many workers, how
 ever they die, the merged authoritative store exports exactly what a
-serial ``Scheduler`` run over the same specs exports. Churn is driven
+serial local run over the same specs exports. Churn is driven
 on a shared ``FakeClock`` (worker idle sleeps advance the same clock
 lease deadlines are checked against), so steal scenarios run
 deterministically in microseconds.
@@ -16,11 +16,12 @@ from repro.lab.farm import (
     Coordinator,
     Worker,
     board_path,
+    run_local,
     telemetry_dir,
     worker_store_path,
 )
 from repro.lab.lease import LeaseBoard
-from repro.lab.scheduler import Scheduler, read_journals
+from repro.lab.scheduler import read_journals
 from repro.lab.spec import bench_spec
 from repro.lab.store import ResultStore
 from repro.obs import catalog
@@ -45,7 +46,7 @@ def export_text(store):
 
 def serial_export(tmp_path, specs):
     store = ResultStore(tmp_path / "serial")
-    Scheduler(store).run(specs)
+    run_local(store, specs)
     return export_text(store)
 
 
@@ -75,11 +76,11 @@ class TestFarmEquivalence:
         reference = serial_export(tmp_path, specs)
         coordinator, store, _stats = make_farm(tmp_path)
         coordinator.prepare(specs, name="farm")
-        # each pool takes half the board, one batch at a time
+        # each pool takes half the board
         first = Worker(tmp_path / "farm", "w1", clock=FakeClock(),
-                       batch=2, max_batches=1).run()
+                       max_cells=2).run()
         second = Worker(tmp_path / "farm", "w2", clock=FakeClock(),
-                        batch=2, max_batches=1).run()
+                        max_cells=2).run()
         assert first["done"] == 2 and second["done"] == 2
         coordinator.run(specs, name="farm", max_wall_s=60)
         assert export_text(store) == reference
@@ -93,7 +94,7 @@ class TestFarmEquivalence:
     def test_stored_cells_are_settled_not_recomputed(self, tmp_path):
         specs = make_specs()
         coordinator, store, _stats = make_farm(tmp_path)
-        Scheduler(store).run(specs[:2])  # pre-store half
+        run_local(store, specs[:2])  # pre-store half
         report = coordinator.prepare(specs, name="farm")
         assert report.resumed == 2
         summary = Worker(tmp_path / "farm", "w1",
@@ -144,7 +145,7 @@ class TestChurn:
         (lease,) = board.claim("zombie", lease_s=5.0)
         zombie_store = ResultStore(
             worker_store_path(tmp_path / "farm", "zombie"))
-        Scheduler(zombie_store, clock=clock).run(specs)  # slow compute
+        run_local(zombie_store, specs, clock=clock)  # slow compute
         clock.advance(6.0)  # ...past the deadline
 
         Worker(tmp_path / "farm", "thief", clock=clock,
@@ -204,6 +205,34 @@ class TestFailurePaths:
         assert len(runner.handles) == 3
         (row,) = coordinator.board.rows()
         assert (row["state"], row["attempts"]) == ("failed", 3)
+        coordinator.close()
+
+
+class TestLeasesPerShard:
+    def test_a_two_shard_worker_holds_at_most_two_leases(
+            self, tmp_path):
+        from test_lab_scheduler import TimedHandle
+
+        specs = make_specs()
+        clock = FakeClock()
+        coordinator, _store, _stats = make_farm(tmp_path, clock=clock)
+        coordinator.prepare(specs, name="held")
+        held = []
+
+        class Runner:
+            """Samples the worker's leases as each cell launches."""
+
+            def start(self, spec, clock):
+                held.append(sum(
+                    1 for row in coordinator.board.rows()
+                    if row["state"] == "leased"
+                    and row["owner"] == "w1"))
+                return TimedHandle(clock, 1.0 + len(held))
+
+        summary = Worker(tmp_path / "farm", "w1", clock=clock, jobs=2,
+                         runner=Runner()).run()
+        assert summary["done"] == len(specs)
+        assert len(held) == len(specs) and max(held) == 2
         coordinator.close()
 
 
@@ -391,7 +420,7 @@ class TestBookkeeping:
         # the resumed cells, the worker's still none
         resumed_root = tmp_path / "resumed"
         coordinator, store, stats = make_farm(resumed_root)
-        Scheduler(ResultStore(store.root)).run(specs[:2])
+        run_local(ResultStore(store.root), specs[:2])
         report = coordinator.prepare(specs, name="hits")
         assert report.resumed == 2
         assert stats.get("lab.store.hits") == report.resumed
@@ -407,8 +436,6 @@ class StopRunner:
     """Wraps the inline runner: requests the worker's stop (once, or
     twice for an abort) from inside the first cell's launch."""
 
-    supports_telemetry = True
-
     def __init__(self, stops=1, hang=False):
         from repro.lab.scheduler import InlineRunner
 
@@ -418,7 +445,7 @@ class StopRunner:
         self.inner = InlineRunner()
         self.started = []
 
-    def start(self, spec, clock, telemetry=None):
+    def start(self, spec, clock):
         self.started.append(spec.spec_hash)
         if len(self.started) == 1:
             for _ in range(self.stops):
@@ -455,20 +482,19 @@ class TestWorkerStop:
     def test_first_stop_settles_the_inflight_chunk_then_stops(
             self, tmp_path):
         runner = StopRunner()
-        # a two-lease batch of one-cell chunks: the stop lands while
-        # the first chunk runs, so the second chunk never starts
-        coordinator, worker, specs = self._farm(tmp_path, runner,
-                                                batch=2)
+        # the stop lands while the first cell runs: it settles, and
+        # no further lease is claimed
+        coordinator, worker, specs = self._farm(tmp_path, runner)
         summary = worker.run()
         assert summary["interrupted"]
         assert summary["done"] == 1 and summary["failed"] == 0
         assert len(runner.started) == 1
         counts = coordinator.board.counts()
-        # one settled, one claimed but never run (its lease expires),
-        # and nothing else claimed after the stop
+        # one settled; a lease is claimed per free shard only, so none
+        # is left claimed but never run
         assert counts["done"] == 1
-        assert counts["leased"] == 1
-        assert counts["pending"] == len(specs) - 2
+        assert counts["leased"] == 0
+        assert counts["pending"] == len(specs) - 1
         coordinator.close()
 
     def test_second_stop_aborts_the_inflight_cell(self, tmp_path):
@@ -483,4 +509,27 @@ class TestWorkerStop:
         assert "failed" not in rows
         assert coordinator.board.counts()["leased"] == 1
         assert len(worker.store) == 0
+        coordinator.close()
+
+    def test_a_stop_during_an_idle_wait_claims_nothing_more(
+            self, tmp_path):
+        """Ctrl-C while a peer holds every cell: once the wait ends,
+        the worker exits instead of stealing the expired leases."""
+        specs = make_specs(2)
+
+        class StopWhileIdle(FakeClock):
+            def sleep(inner, seconds):
+                super().sleep(seconds)
+                worker.request_stop()
+
+        clock = StopWhileIdle()
+        coordinator, _store, _stats = make_farm(tmp_path, clock=clock)
+        coordinator.prepare(specs, name="idle")
+        coordinator.board.claim("peer", lease_s=0.1, limit=len(specs))
+        worker = Worker(tmp_path / "farm", "w1", clock=clock)
+        summary = worker.run()
+        assert summary["interrupted"]
+        assert summary["done"] == 0 and summary["stolen"] == 0
+        assert {row["owner"] for row in coordinator.board.rows()} == {
+            "peer"}
         coordinator.close()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bench.runner import config_for_scale
 from repro.lab.clock import BackoffPolicy, FakeClock
-from repro.lab.farm import Coordinator, Worker, board_path
+from repro.lab.farm import Coordinator, Worker, board_path, run_local
 from repro.lab.lease import LeaseBoard
 from repro.lab.net.client import HttpLeaseClient
 from repro.lab.net.flaky import FlakyProxy, scripted_plan, seeded_plan
@@ -28,7 +28,6 @@ from repro.lab.net.transport import (
     lease_from_wire,
     lease_to_wire,
 )
-from repro.lab.scheduler import Scheduler
 from repro.lab.spec import bench_spec
 from repro.lab.store import ExportSource, ResultStore, StoreError
 from repro.util.stats import Stats
@@ -54,7 +53,7 @@ def export_text(store):
 
 def serial_export(tmp_path, specs):
     store = ResultStore(tmp_path / "serial")
-    Scheduler(store).run(specs)
+    run_local(store, specs)
     return export_text(store)
 
 
@@ -230,7 +229,7 @@ class TestHttpVerbs:
 class TestUpload:
     def _computed_entries(self, tmp_path, specs):
         local = ResultStore(tmp_path / "local")
-        Scheduler(local).run(specs)
+        run_local(local, specs)
         return local.export(), local
 
     def test_upload_lands_in_the_authoritative_store(self, tmp_path):

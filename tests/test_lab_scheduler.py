@@ -1,5 +1,6 @@
-"""Campaign scheduler: resume equivalence, retry/timeout/backoff,
-graceful draining, sharded == serial.
+"""Local campaigns and the execute loop: resume equivalence,
+retry/timeout/backoff, graceful draining, sharded == serial, no
+chunk barrier.
 
 Failure-path tests script outcomes through a fake runner driven by
 ``FakeClock``, so no real processes hang and no real time passes.
@@ -7,12 +8,14 @@ The equivalence tests execute real (tiny) cells.
 """
 
 import json
+import signal
 
 import pytest
 
 from repro.bench.runner import config_for_scale
 from repro.errors import ConfigError
 from repro.lab.clock import BackoffPolicy, FakeClock
+from repro.lab.farm import run_local
 from repro.lab.scheduler import Scheduler, find_journal, read_journals
 from repro.lab.spec import bench_spec
 from repro.lab.store import ResultStore
@@ -88,68 +91,69 @@ class TestBackoffPolicy:
 
 
 class TestFailurePaths:
-    def _run(self, script, specs, **kwargs):
+    def _run(self, script, specs, runner_class=None, **kwargs):
         stats = Stats(enabled=True)
         store = ResultStore(kwargs.pop("root"), stats=stats)
-        clock = FakeClock()
-        scheduler = Scheduler(
-            store, clock=clock, stats=stats,
-            runner=FakeRunner(script), **kwargs
-        )
-        report = scheduler.run(specs)
-        return report, stats, clock, scheduler
+        runner = (runner_class or FakeRunner)(script)
+        report = run_local(store, specs, clock=FakeClock(),
+                           stats=stats, runner=runner, **kwargs)
+        return report, stats, store, runner
 
     def test_error_then_success_retries_with_backoff(self, tmp_path):
         spec = real_specs(count=1)[0]
         payload = {"version": 1}
-        report, stats, clock, scheduler = self._run(
+        report, stats, store, runner = self._run(
             {spec.spec_hash: [("error", "boom"), ("ok", payload)]},
-            [spec], root=tmp_path / "lab", retries=2, backoff_s=5.0,
+            [spec], root=tmp_path / "lab", retries=2,
+            backoff=BackoffPolicy("linear", base_s=5.0),
         )
         assert report.completed == 1 and report.failed == 0
-        assert stats.get("lab.jobs.retried") == 1
+        assert stats.get("lab.farm.cells_requeued") == 1
         # the retry waited out the linear backoff on the fake clock
-        runner = scheduler.runner
         assert (runner.handles[1].started
                 - runner.handles[0].started) >= 5.0
-        assert scheduler.store.get(spec).payload == payload
+        assert store.get(spec).payload == payload
 
     def test_exponential_backoff_doubles_the_retry_gaps(self, tmp_path):
         spec = real_specs(count=1)[0]
-        report, _stats, _clock, scheduler = self._run(
+        report, _stats, _store, runner = self._run(
             {spec.spec_hash: [("error", "a"), ("error", "b"),
                               ("ok", {"version": 1})]},
             [spec], root=tmp_path / "lab", retries=2,
             backoff=BackoffPolicy("exponential", base_s=4.0),
         )
         assert report.completed == 1
-        starts = [handle.started for handle in scheduler.runner.handles]
+        starts = [handle.started for handle in runner.handles]
         assert starts[1] - starts[0] >= 4.0
         assert starts[2] - starts[1] >= 8.0  # second retry doubled
 
     def test_hung_worker_times_out_and_is_retried(self, tmp_path):
         spec = real_specs(count=1)[0]
-        report, stats, _clock, scheduler = self._run(
+        report, stats, _store, runner = self._run(
             {spec.spec_hash: [None, ("ok", {"version": 1})]},
             [spec], root=tmp_path / "lab",
-            timeout_s=1.0, retries=1, backoff_s=0.0,
+            timeout_s=1.0, retries=1, backoff=BackoffPolicy(base_s=0.0),
         )
         assert report.completed == 1
         assert stats.get("lab.jobs.timeouts") == 1
-        assert scheduler.runner.handles[0].stopped
+        assert runner.handles[0].stopped
 
     def test_exhausted_retries_report_a_permanent_failure(
             self, tmp_path):
         spec = real_specs(count=1)[0]
-        report, stats, _clock, scheduler = self._run(
+        report, stats, store, _runner = self._run(
             {spec.spec_hash: [("error", "a\nboom")] * 3},
-            [spec], root=tmp_path / "lab", retries=2, backoff_s=0.0,
+            [spec], root=tmp_path / "lab", retries=2,
+            backoff=BackoffPolicy(base_s=0.0),
         )
         assert report.failed == 1 and not report.ok
         assert report.failures[0]["attempts"] == 3
         assert report.failures[0]["error"] == "boom"
-        assert stats.get("lab.jobs.failed") == 1
-        journal = read_journals(scheduler.store)[0]
+        # three failed executions; the board failed the cell once
+        assert stats.get("lab.jobs.failed") == 3
+        assert stats.get("lab.farm.cells_requeued") == 2
+        assert stats.get("lab.farm.cells_failed") == 1
+        journal = read_journals(store)[0]
         assert journal["status"] == "failed"
 
     def test_stop_request_drains_inflight_and_checkpoints(
@@ -158,44 +162,49 @@ class TestFailurePaths:
         script = {
             spec.spec_hash: [("ok", {"version": 1})] for spec in specs
         }
-        stats = Stats(enabled=True)
-        store = ResultStore(tmp_path / "lab", stats=stats)
-        scheduler = Scheduler(store, clock=FakeClock(), stats=stats,
-                              runner=FakeRunner(script))
 
         class StopAfterFirst(FakeRunner):
+            """A real Ctrl-C as the first cell launches."""
+
             def start(inner, spec, clock):
-                scheduler.request_stop()
+                if not inner.handles:
+                    signal.raise_signal(signal.SIGINT)
                 return FakeRunner.start(inner, spec, clock)
 
-        scheduler.runner = StopAfterFirst(script)
-        report = scheduler.run(specs, name="drained")
+        report, _stats, store, runner = self._run(
+            script, specs, runner_class=StopAfterFirst,
+            root=tmp_path / "lab", name="drained",
+        )
         # the in-flight cell committed; the rest were never launched
+        assert len(runner.handles) == 1
         assert report.completed == 1
         assert report.interrupted and report.remaining == 2
         journal = read_journals(store)[0]
         assert journal["status"] == "interrupted"
+        assert [c["stored"] for c in journal["checkpoints"]] == [0, 1]
         assert find_journal(store, journal["campaign_id"][:6])
 
     def test_second_stop_aborts_inflight_and_reports_interrupted(
             self, tmp_path):
         specs = real_specs(count=2)
-        store = ResultStore(tmp_path / "lab")
         script = {spec.spec_hash: [None] for spec in specs}
-        scheduler = Scheduler(store, jobs=2, clock=FakeClock(),
-                              runner=FakeRunner(script))
 
         class AbortAfterLaunch(FakeRunner):
+            """Two real Ctrl-Cs once both shards run a hung cell."""
+
             def start(inner, spec, clock):
                 handle = FakeRunner.start(inner, spec, clock)
                 if len(inner.handles) == len(specs):
-                    scheduler.request_stop()
-                    scheduler.request_stop()
+                    signal.raise_signal(signal.SIGINT)
+                    signal.raise_signal(signal.SIGINT)
                 return handle
 
-        scheduler.runner = AbortAfterLaunch(script)
-        report = scheduler.run(specs, name="aborted")
-        assert all(handle.stopped for handle in scheduler.runner.handles)
+        report, _stats, store, runner = self._run(
+            script, specs, runner_class=AbortAfterLaunch,
+            root=tmp_path / "lab", name="aborted", jobs=2,
+        )
+        assert len(runner.handles) == 2
+        assert all(handle.stopped for handle in runner.handles)
         assert report.completed == 0 and report.failed == 0
         assert report.interrupted and report.remaining == 2
         assert read_journals(store)[0]["status"] == "interrupted"
@@ -204,25 +213,81 @@ class TestFailurePaths:
         specs = real_specs(count=2)
         store = ResultStore(tmp_path / "lab")
         seen = []
-        report = Scheduler(store).execute(
-            specs, on_progress=lambda r: seen.append(r.completed))
-        assert report.ok and report.completed == 2
-        assert seen == [0, 1, 2]
+        Scheduler(store).execute(
+            specs, on_cell=lambda spec, error: seen.append(
+                (spec.spec_hash, error)))
+        assert seen == [(spec.spec_hash, None) for spec in specs]
         assert read_journals(store) == []
         assert len(store) == 2
+
+    def test_a_failed_cell_runs_again_on_the_next_run(self, tmp_path):
+        """The board is re-seeded from the grid and the store on every
+        run, so a cell that failed permanently is tried again."""
+        spec = real_specs(count=1)[0]
+        root = tmp_path / "lab"
+        first, _stats, _store, _runner = self._run(
+            {spec.spec_hash: [("error", "boom")]}, [spec], root=root,
+            retries=0,
+        )
+        assert first.failed == 1
+        second, _stats, store, _runner = self._run(
+            {spec.spec_hash: [("ok", {"version": 1})]}, [spec],
+            root=root, retries=0,
+        )
+        assert second.ok and second.completed == 1
+        assert read_journals(store)[0]["status"] == "complete"
+
+
+class TimedHandle:
+    """A cell that finishes ``duration`` fake seconds after launch."""
+
+    def __init__(self, clock, duration):
+        self.clock = clock
+        self.started = clock.now()
+        self.duration = duration
+
+    def poll(self):
+        if self.clock.now() - self.started >= self.duration:
+            return ("ok", {"version": 1})
+        return None
+
+    def stop(self):
+        pass
+
+
+class TestNoChunkBarrier:
+    def test_a_free_shard_starts_the_next_cell_at_once(self, tmp_path):
+        """With two shards, the third cell starts as soon as the first
+        finishes, while the second is still running."""
+        specs = real_specs(count=3)
+        durations = dict(zip(
+            sorted(spec.spec_hash for spec in specs), (1.0, 5.0, 1.0)))
+        starts = {}
+
+        class Runner:
+            def start(self, spec, clock):
+                starts[spec.spec_hash] = clock.now()
+                return TimedHandle(clock, durations[spec.spec_hash])
+
+        report = run_local(ResultStore(tmp_path / "lab"), specs,
+                           jobs=2, clock=FakeClock(), runner=Runner())
+        assert report.ok and report.completed == 3
+        first, second, third = sorted(durations)
+        assert starts[first] == starts[second] == 0.0
+        assert 1.0 <= starts[third] < durations[second]
 
 
 class TestResumeEquivalence:
     def test_kill_and_resume_is_bit_identical_to_serial(self, tmp_path):
         specs = real_specs()
         serial = ResultStore(tmp_path / "serial")
-        Scheduler(serial).run(specs)
+        run_local(serial, specs)
 
         stats = Stats(enabled=True)
         resumed = ResultStore(tmp_path / "resumed", stats=stats)
-        first = Scheduler(resumed, stats=stats).run(specs, max_cells=2)
+        first = run_local(resumed, specs, stats=stats, max_cells=2)
         assert first.interrupted and first.completed == 2
-        second = Scheduler(resumed, stats=stats).run(specs)
+        second = run_local(resumed, specs, stats=stats)
         assert not second.interrupted
 
         # the resume executed only the remaining cells...
@@ -237,16 +302,16 @@ class TestResumeEquivalence:
         specs = real_specs(count=2)
         stats = Stats(enabled=True)
         store = ResultStore(tmp_path / "lab", stats=stats)
-        Scheduler(store, stats=stats).run(specs)
-        report = Scheduler(store, stats=stats).run(specs)
+        run_local(store, specs, stats=stats)
+        report = run_local(store, specs, stats=stats)
         assert report.resumed == 2 and report.completed == 0
         assert stats.get("lab.store.puts") == 2
 
     def test_sharded_run_is_bit_identical_to_serial(self, tmp_path):
         specs = real_specs()
         serial = ResultStore(tmp_path / "serial")
-        Scheduler(serial).run(specs)
+        run_local(serial, specs)
         sharded = ResultStore(tmp_path / "sharded")
-        report = Scheduler(sharded, jobs=2, timeout_s=120).run(specs)
+        report = run_local(sharded, specs, jobs=2, timeout_s=120)
         assert report.completed == len(specs) and report.ok
         assert export_text(sharded) == export_text(serial)

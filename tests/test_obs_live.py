@@ -3,7 +3,7 @@
 Covers the ISSUE acceptance points: atomic heartbeat publication and
 throttling, corrupt-snapshot tolerance, registry snapshot round-trips,
 parent-side aggregation (including equivalence with a serial run's
-registry), scheduler journal checkpoints and the throughput/ETA
+registry), campaign journal checkpoints and the throughput/ETA
 derivation behind ``star-lab status``, the ``star-top`` status
 assembly and its read-only HTTP endpoint, and the label-value
 escape/unescape round-trip pin.
@@ -21,7 +21,9 @@ from repro.fuzz.executor import run_campaign
 from repro.fuzz.sampling import CampaignSpec
 from repro.lab.cli import main as lab_main
 from repro.lab.clock import FakeClock
-from repro.lab.scheduler import Scheduler, checkpoint_rates
+from repro.lab.farm import run_local
+from repro.lab.gridfile import resolve_specs
+from repro.lab.scheduler import checkpoint_rates, read_journals
 from repro.lab.spec import bench_spec
 from repro.lab.store import ResultStore
 from repro.obs.catalog import lookup
@@ -270,7 +272,7 @@ class TestAggregation:
 
 
 # ----------------------------------------------------------------------
-# scheduler checkpoints -> star-lab status rate/eta
+# campaign checkpoints -> star-lab status rate/eta
 # ----------------------------------------------------------------------
 def _real_specs(count):
     config = config_for_scale("smoke")
@@ -327,34 +329,28 @@ class TestCheckpoints:
         specs = _real_specs(3)
         store = ResultStore(tmp_path / "store")
         clock = FakeClock(start=50.0)
-        scheduler = Scheduler(store, clock=clock,
-                              telemetry_dir=tmp_path / "tele")
-        report = scheduler.run(specs, name="chk")
+        report = run_local(store, specs, name="chk", clock=clock,
+                           telemetry=tmp_path / "tele")
         assert report.ok
-        journal = json.loads(
-            scheduler._journal_path(report.campaign_id).read_text()
-        )
+        (journal,) = read_journals(store)
         checkpoints = journal["checkpoints"]
         # one initial sample + one per committed cell
         assert len(checkpoints) == 4
         assert checkpoints[-1]["stored"] == 3
         assert all(c["wall_s"] >= 50.0 for c in checkpoints)
+        # the coordinator is the one heartbeat writer
         beats = {b["worker"]: b
                  for b in read_heartbeats(tmp_path / "tele")}
-        assert set(beats) == {"scheduler", "w0"}
-        assert beats["scheduler"]["progress"]["completed"] == 3
-        assert beats["w0"]["progress"]["state"] == "done"
+        assert set(beats) == {"coordinator"}
+        assert beats["coordinator"]["progress"]["completed"] == 3
 
     def test_resume_continues_checkpoint_history(self, tmp_path):
         specs = _real_specs(3)
         store = ResultStore(tmp_path / "store")
-        first = Scheduler(store, clock=FakeClock(start=10.0))
-        first.run(specs, name="chk", max_cells=1)
-        second = Scheduler(store, clock=FakeClock(start=20.0))
-        report = second.run(specs, name="chk")
-        journal = json.loads(
-            second._journal_path(report.campaign_id).read_text()
-        )
+        run_local(store, specs, name="chk", clock=FakeClock(start=10.0),
+                  max_cells=1)
+        run_local(store, specs, name="chk", clock=FakeClock(start=20.0))
+        (journal,) = read_journals(store)
         stored = [c["stored"] for c in journal["checkpoints"]]
         assert stored == sorted(stored)
         assert stored[0] == 0 and stored[-1] == 3
@@ -362,7 +358,7 @@ class TestCheckpoints:
     def test_status_cli_shows_rate_and_eta(self, tmp_path, capsys):
         specs = _real_specs(1)
         store = ResultStore(tmp_path)
-        Scheduler(store, clock=FakeClock()).run(specs, name="chk")
+        run_local(store, specs, name="chk", clock=FakeClock())
         store.close()
         assert lab_main(["status", "--store", str(tmp_path)]) == 0
         output = capsys.readouterr().out
@@ -384,12 +380,20 @@ class TestStarTop:
         status = build_status(telemetry, store_path=store)
         assert status["campaign"]["status"] == "complete"
         workers = [view["worker"] for view in status["workers"]]
-        assert "scheduler" in workers
+        assert workers == ["coordinator"]
         assert status["metrics"]["counters"]["lab.jobs.completed"] > 0
         for name in status["metrics"]["counters"]:
             assert lookup(name) is not None, name
         text = render_dashboard(status)
-        assert "star-top" in text and "scheduler" in text
+        assert "star-top" in text and "coordinator" in text
+
+    def test_aggregate_counts_each_cell_once(self, tmp_path):
+        store, telemetry = self._campaign(tmp_path)
+        status = build_status(telemetry, store_path=store)
+        cells = len(resolve_specs(["fuzz-smoke"]))
+        counters = status["metrics"]["counters"]
+        assert counters["lab.jobs.completed"] == cells
+        assert status["campaign"]["counts"]["completed"] == cells
 
     def test_http_endpoint_serves_metrics_and_status(self, tmp_path):
         store, telemetry = self._campaign(tmp_path)
