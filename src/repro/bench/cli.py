@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.bench import experiments
 from repro.bench.tables import render_table
+from repro.tools import output_error
 
 
 def _sweep_cache(scale="default", **_kwargs):
@@ -115,6 +116,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "lab result store at DIR — see star-lab",
     )
     args = parser.parse_args(argv)
+    status = output_error("star-bench", args.json, args.markdown,
+                          args.perf)
+    if status:
+        return status
 
     lab = None
     if args.lab:

@@ -8,9 +8,6 @@ Section III-B packs three quantities into fixed hardware fields:
 * the 10 spare bits, which STAR reuses for the parent counter's LSBs
   (counter-MAC synergization).
 
-The Osiris-style BMT baseline additionally splits its counters into a
-64-bit major and 7-bit per-line minors (``repro.bmt.counters``).
-
 Everything that validates a field against its budget — the frozen image
 dataclasses, the runtime sanitizers (``repro.sim.sanitize``) and the
 STAR002 lint rule (``repro.lint.rules.widths``) — goes through this
@@ -31,9 +28,6 @@ FIELD_WIDTHS = {
     "mac": MAC_BITS,
     "mac_field": MAC_FIELD_BITS,
     "lsbs": LSB_BITS,
-    "major": 64,   # Osiris/BMT major counter (repro.bmt.counters)
-    "minor": 7,    # Osiris/BMT per-line minor counter
-    "minors": 7,
 }
 
 

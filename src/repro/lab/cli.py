@@ -31,6 +31,7 @@ Examples::
     star-lab work --coordinator http://coord:9433 --jobs 4
 
 Exit codes: 0 campaign complete, 1 cells failed permanently,
+2 usage error (bad value, missing store or farm, unwritable output),
 3 campaign interrupted (resume / re-serve to continue).
 """
 
@@ -59,7 +60,7 @@ from repro.lab.scheduler import (
 )
 from repro.lab.spec import RunSpec
 from repro.lab.store import ResultStore
-from repro.tools import int_at_least
+from repro.tools import int_at_least, output_error
 from repro.util.stats import Stats
 
 EXIT_OK = 0
@@ -349,7 +350,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_resume(args: argparse.Namespace) -> int:
     if args.grid:
         return _cmd_run(args)
-    store = ResultStore(args.store)
+    store = ResultStore.existing(args.store)
     if args.campaign:
         journal = find_journal(store, args.campaign)
         if journal is None:
@@ -375,7 +376,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 # status / export / gc
 # ----------------------------------------------------------------------
 def _cmd_status(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = ResultStore.existing(args.store)
     table = ExperimentTable(
         experiment_id="star-lab",
         title="campaigns in %s (%d stored cells)"
@@ -428,7 +429,10 @@ def _export_payload(store: ResultStore,
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    status = output_error("star-lab", args.output)
+    if status:
+        return status
+    store = ResultStore.existing(args.store)
     entries = _export_payload(store, args.grid, args.hash_prefix)
     text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -441,7 +445,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
-    store = ResultStore(args.store)
+    store = ResultStore.existing(args.store)
     keep = None
     if args.grid:
         keep = [
@@ -563,9 +567,13 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
+    farm = _farm_dir(args)
+    if not board_path(farm).is_file():
+        raise ConfigError("%s: not a farm directory (no %s)"
+                          % (farm, board_path(farm).name))
     stats = Stats(enabled=True)
     store = ResultStore(args.store, stats=stats)
-    coordinator = Coordinator(store, _farm_dir(args), stats=stats)
+    coordinator = Coordinator(store, farm, stats=stats)
     try:
         merged = coordinator.merge()
     finally:

@@ -35,7 +35,7 @@ import hashlib
 import itertools
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.errors import ConfigError
 from repro.lab.spec import RunSpec, bench_spec, canonical_json, fuzz_spec
@@ -226,11 +226,3 @@ def resolve_specs(grid_names: List[PathLike]) -> List[RunSpec]:
             seen.add(spec.spec_hash)
             specs.append(spec)
     return specs
-
-
-def grid_title(grid: Dict, specs: Optional[List[RunSpec]] = None
-               ) -> str:
-    count = "?" if specs is None else str(len(specs))
-    return "%s (%s, %s cells)" % (
-        grid.get("name", "grid"), grid.get("kind", "bench"), count
-    )

@@ -168,6 +168,18 @@ class ResultStore:
         self._cross_thread = cross_thread
         self._conn: Optional[sqlite3.Connection] = None
 
+    @classmethod
+    def existing(cls, root: PathLike,
+                 stats: Optional[Stats] = None) -> "ResultStore":
+        """Open a store that must already exist.
+
+        Read-only verbs open their store this way, so a mistyped root
+        is an error instead of a freshly created empty store.
+        """
+        if not (Path(root) / BLOBS_DIR).is_dir():
+            raise StoreError("%s: no result store here" % root)
+        return cls(root, stats=stats)
+
     # ------------------------------------------------------------------
     # paths
     # ------------------------------------------------------------------

@@ -192,11 +192,6 @@ class LintEngine:
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
-    def run_file(self, path: str) -> List[Finding]:
-        """Single-file convenience wrapper over :meth:`run` (the
-        project view then contains just that one module)."""
-        return [f for f in self.run([path]) if f.path == path]
-
     def _parse(self, path: str) -> Optional[FileContext]:
         try:
             source = Path(path).read_text(encoding="utf-8")

@@ -219,9 +219,6 @@ class ProjectContext:
     def module(self, module_path: str) -> Optional[ModuleInfo]:
         return self.modules.get(module_path)
 
-    def module_by_dotted(self, dotted: str) -> Optional[ModuleInfo]:
-        return self._by_dotted.get(dotted)
-
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for info in self.modules.values():
             yield from info.functions.values()

@@ -28,12 +28,6 @@ METRICS: Dict[str, str] = {
     "anubis.st_writes": "counter",
     "bitmap.mark_fresh": "counter",
     "bitmap.mark_stale": "counter",
-    "bmt.block_persists": "counter",
-    "bmt.data_reads": "counter",
-    "bmt.data_writes": "counter",
-    "bmt.minor_overflows": "counter",
-    "bmt.reencryption_writes": "counter",
-    "bmt.tree_level_persists": "counter",
     "cpu.llc_writebacks": "counter",
     "cpu.read_hits": "counter",
     "cpu.read_misses": "counter",
@@ -107,7 +101,6 @@ METRICS: Dict[str, str] = {
     "recovery.stale_batch": "histogram",
     "sanitize.checks": "counter",
     "sit.persist_level": "histogram",
-    "supermem.coalesced_writes": "counter",
     "synergy.lsb_wraps": "counter",
     "synergy.reconstruct_drift": "histogram",
     "synergy.reconstructions": "counter",
@@ -141,8 +134,8 @@ def _pattern_regex(template: str) -> "re.Pattern[str]":
     return re.compile("".join(out) + r"\Z")
 
 
-_COMPILED: List[Tuple["re.Pattern[str]", str, str]] = [
-    (_pattern_regex(template), template, kind)
+_COMPILED: List[Tuple["re.Pattern[str]", str]] = [
+    (_pattern_regex(template), kind)
     for template, kind in METRIC_PATTERNS
 ]
 
@@ -152,15 +145,7 @@ def lookup(name: str) -> Optional[str]:
     kind = METRICS.get(name)
     if kind is not None:
         return kind
-    for regex, _template, pattern_kind in _COMPILED:
+    for regex, pattern_kind in _COMPILED:
         if regex.match(name):
             return pattern_kind
-    return None
-
-
-def matching_template(name: str) -> Optional[str]:
-    """Which ``METRIC_PATTERNS`` template a concrete name falls under."""
-    for regex, template, _kind in _COMPILED:
-        if regex.match(name):
-            return template
     return None

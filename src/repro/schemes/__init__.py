@@ -1,17 +1,19 @@
-"""Persistence schemes: the paper's four evaluated schemes plus the
-counter-only / Bonsai-Merkle-tree extension baselines.
+"""Persistence schemes: the paper's four evaluated schemes plus Phoenix.
 
-The SIT-capable schemes (usable with the secure memory controller):
+Every scheme is a :class:`PersistenceScheme` on the one secure memory
+controller, so each runs through the fuzz oracle, the sanitizers and
+the traffic audits:
 
 * :class:`WriteBackScheme` — the WB baseline; no recovery.
 * :class:`StrictPersistenceScheme` — eager branch write-through.
 * :class:`AnubisScheme` — shadow-table, 2x writes.
 * :class:`~repro.core.star.StarScheme` — the paper's contribution.
+* :class:`PhoenixScheme` — concurrent work (Section II-E): Osiris-style
+  counter probing for counter blocks, a shadow table for tree nodes.
 
-Osiris and Triad-NVM cannot recover an SGX integrity tree
-(Section II-E); they live in :mod:`repro.bmt` together with the
-Bonsai-Merkle-tree substrate they were designed for, as extension
-baselines used by the examples and tests.
+Osiris and Triad-NVM themselves cannot recover an SGX integrity tree
+(Section II-E), so the paper does not evaluate them; DESIGN.md's
+"Argued, not tested" section records why.
 """
 
 from repro.core.star import StarScheme

@@ -20,7 +20,8 @@ simulator change — diff with the same machinery::
 Exit status 0 means every shared numeric cell agrees within the
 relative tolerance; 1 lists the drifted cells. New/removed experiments
 or rows are reported but are not failures by themselves (use
-``--strict`` to make them so).
+``--strict`` to make them so). An input that is missing or is not a
+result dump exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ import json
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
+
+from repro.errors import ReproError
+from repro.tools import path_error
 
 
 def _flatten(payload: dict, prefix: str = "") -> Dict[str, object]:
@@ -57,7 +61,7 @@ def load_lab_results(root: str, prefix: str = "") -> Dict[str, dict]:
     """Lab store cells as one pseudo-experiment per stored spec."""
     from repro.lab.store import ResultStore
 
-    store = ResultStore(root)
+    store = ResultStore.existing(root)
     results: Dict[str, dict] = {}
     for record in store.records(prefix):
         spec = record.spec
@@ -84,7 +88,24 @@ def load_results(path: str) -> Dict[str, dict]:
         return load_lab_results(*lab_ref)
     with open(path) as handle:
         payload = json.load(handle)
+    if not _is_result_dump(payload):
+        raise ValueError("not a star-bench --json dump (a list of "
+                         "experiment tables)")
     return {entry["experiment"]: entry for entry in payload}
+
+
+def _is_result_dump(payload: object) -> bool:
+    if not isinstance(payload, list):
+        return False
+    for entry in payload:
+        if not (isinstance(entry, dict) and "experiment" in entry):
+            return False
+        rows = entry.get("rows", [])
+        if not (isinstance(entry.get("columns", []), list)
+                and isinstance(rows, list)
+                and all(isinstance(row, dict) for row in rows)):
+            return False
+    return True
 
 
 def _row_key(row: dict, columns: List[str]) -> str:
@@ -151,10 +172,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="structural differences also fail")
     args = parser.parse_args(argv)
 
-    drifts, notes = compare_results(
-        load_results(args.before), load_results(args.after),
-        args.tolerance,
-    )
+    path = args.before
+    try:
+        before = load_results(path)
+        path = args.after
+        after = load_results(path)
+    except (ReproError, OSError, ValueError) as exc:
+        return path_error("star-compare", path, exc)
+    drifts, notes = compare_results(before, after, args.tolerance)
     for note in notes:
         print("note:", note)
     for drift in drifts:

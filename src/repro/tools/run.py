@@ -19,11 +19,12 @@ import sys
 from typing import List, Optional
 
 from repro.config import sim_config
+from repro.errors import ReproError
 from repro.schemes import SIT_SCHEMES
 from repro.sim.endurance import wear_report
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
-from repro.tools import int_at_least
+from repro.tools import int_at_least, path_error
 from repro.workloads.capture import load_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -65,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trace:
+        try:
+            ops = list(load_trace(args.trace))
+        except (ReproError, OSError, ValueError) as exc:
+            return path_error("star-run", args.trace, exc)
     config = sim_config(
         memory_bytes=args.memory_mb * 1024 ** 2,
         metadata_cache_bytes=args.cache_kb * 1024,
@@ -77,7 +83,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     machine = Machine(config, scheme=args.scheme, nvm=nvm)
 
     if args.trace:
-        ops = load_trace(args.trace)
         source = "trace %s" % args.trace
     elif args.threads > 1:
         ops = make_threaded_trace(

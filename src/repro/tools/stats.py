@@ -30,7 +30,7 @@ from repro.obs.export import (
 from repro.obs.render import render_snapshot
 from repro.schemes import SIT_SCHEMES
 from repro.sim.machine import Machine
-from repro.tools import int_at_least
+from repro.tools import int_at_least, output_error
 from repro.workloads.registry import ALL_WORKLOADS, make_workload
 
 
@@ -79,6 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    status = output_error("star-stats", args.json, args.prom,
+                          args.events, args.trace)
+    if status:
+        return status
     config = sim_config(
         memory_bytes=args.memory_mb * 1024 ** 2,
         metadata_cache_bytes=args.cache_kb * 1024,

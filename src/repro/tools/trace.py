@@ -13,7 +13,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.tools import int_at_least
+from repro.errors import ReproError
+from repro.tools import int_at_least, output_error, path_error
 from repro.workloads.capture import load_trace, save_trace
 from repro.workloads.registry import (
     ALL_WORKLOADS,
@@ -52,6 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _generate(args) -> int:
+    status = output_error("star-trace", args.output)
+    if status:
+        return status
     if args.threads > 1:
         ops = make_threaded_trace(
             args.workload, args.lines, threads=args.threads,
@@ -72,7 +76,10 @@ def _generate(args) -> int:
 
 
 def _info(args) -> int:
-    ops = list(load_trace(args.path))
+    try:
+        ops = list(load_trace(args.path))
+    except (ReproError, OSError, ValueError) as exc:
+        return path_error("star-trace", args.path, exc)
     if not ops:
         print("empty trace")
         return 1

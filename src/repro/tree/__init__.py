@@ -1,7 +1,7 @@
 """Integrity trees: SIT geometry/authentication and Merkle helpers."""
 
 from repro.tree.geometry import NodeId, TreeGeometry
-from repro.tree.merkle import fold_level, merkle_levels, merkle_root
+from repro.tree.merkle import fold_level, merkle_root
 from repro.tree.node import (
     CachedNode,
     DataLineImage,
@@ -19,7 +19,6 @@ __all__ = [
     "SITAuthenticator",
     "TreeGeometry",
     "fold_level",
-    "merkle_levels",
     "merkle_root",
     "pack_mac_field",
     "unpack_mac_field",

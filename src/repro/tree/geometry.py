@@ -161,7 +161,3 @@ class TreeGeometry:
         while not self.is_top_level(current):
             current = self.parent_of(current)
             yield current
-
-    def _check_data_line(self, data_line: int) -> None:
-        if not 0 <= data_line < self.num_data_lines:
-            raise ValueError("data line %d out of range" % data_line)

@@ -1,9 +1,8 @@
 """Generic keyed Merkle folding.
 
-Shared by the cache-tree (Section III-E), the Bonsai Merkle tree used by
-the Triad-NVM/Osiris extension baselines, and a handful of tests. A level
-is reduced by hashing groups of ``arity`` values; missing group members
-hash as zero, which matches the paper's zero set-MAC convention.
+Used by the cache-tree (Section III-E) to fold its set-MACs into a root.
+A level is reduced by hashing groups of ``arity`` values; missing group
+members hash as zero, which matches the paper's zero set-MAC convention.
 """
 
 from __future__ import annotations
@@ -42,19 +41,3 @@ def merkle_root(key: bytes, leaves: Sequence[int],
         values = fold_level(key, values, arity, domain, level)
         level += 1
     return values[0]
-
-
-def merkle_levels(key: bytes, leaves: Sequence[int],
-                  arity: int = TREE_ARITY,
-                  domain: str = "merkle") -> List[List[int]]:
-    """All levels, leaves first; used to inspect/verify partial trees."""
-    if not leaves:
-        return [[]]
-    levels = [list(leaves)]
-    level = 0
-    while len(levels[-1]) > 1 or level == 0:
-        levels.append(
-            fold_level(key, levels[-1], arity, domain, level)
-        )
-        level += 1
-    return levels

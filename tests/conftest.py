@@ -28,3 +28,17 @@ def run_small_workload(machine: Machine, name: str = "hash",
         operations=operations, seed=seed,
     )
     machine.run(workload.ops())
+
+
+@pytest.fixture
+def assert_usage_error(capsys):
+    """Check that a tool refused a bad path before doing any work:
+    exit 2, one ``PROG: PATH: reason`` line on stderr, empty stdout."""
+    def check(code: int, prog: str, path: str) -> None:
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("%s: %s: " % (prog, path))
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
+
+    return check

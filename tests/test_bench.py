@@ -144,3 +144,11 @@ class TestCli:
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli_main(["--experiment", "fig99"])
+
+    @pytest.mark.parametrize("flag", ["--json", "--markdown", "--perf"])
+    def test_unwritable_output_exits_2_before_running(
+            self, flag, tmp_path, assert_usage_error):
+        path = str(tmp_path / "missing" / "out")
+        code = cli_main(["--experiment", "fig14a", "--scale", "smoke",
+                         flag, path])
+        assert_usage_error(code, "star-bench", path)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.tools.compare import compare_results, main
 
 
@@ -57,6 +59,28 @@ class TestCompare:
         drifts, _notes = compare_results({"X": table}, {"X": table},
                                          0.02)
         assert drifts == []
+
+    @pytest.mark.parametrize("problem", [
+        "missing", "not-json", "wrong-shape", "not-a-store",
+    ])
+    def test_bad_input_exits_2_with_a_message(
+            self, problem, tmp_path, assert_usage_error):
+        """A typo is not DRIFT (exit 1): each side is loaded before
+        anything is compared, and a directory that is not a lab store
+        is left untouched."""
+        good = tmp_path / "good.json"
+        dump(good, 1.0)
+        bad = tmp_path / "bad.json"
+        if problem == "not-json":
+            bad.write_text("not json\n")
+        elif problem == "wrong-shape":
+            bad.write_text(json.dumps({"a": 1}))
+        elif problem == "not-a-store":
+            bad.mkdir()
+        for argv in ([str(bad), str(good)], [str(good), str(bad)]):
+            assert_usage_error(main(argv), "star-compare", str(bad))
+        if problem == "not-a-store":
+            assert list(bad.iterdir()) == []
 
     def test_end_to_end_with_star_bench(self, tmp_path, capsys):
         from repro.bench.cli import main as bench_main

@@ -25,4 +25,4 @@ def test_example_inventory():
     """The README promises at least these examples."""
     names = {path.stem for path in EXAMPLES}
     assert {"quickstart", "crash_recovery_demo", "attack_detection",
-            "write_traffic_comparison", "bmt_baselines"} <= names
+            "write_traffic_comparison"} <= names

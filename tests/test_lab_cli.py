@@ -284,6 +284,20 @@ class TestUsageErrors:
         assert flag in err and "Traceback" not in err
         assert len(ResultStore(store_dir)) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["status"], ["export"], ["gc"], ["resume"],
+        ["merge", "--farm", "{tmp}/no-farm"],
+        ["export", "-o", "{tmp}/no-dir/out.json"],
+    ], ids=["status", "export", "gc", "resume", "merge", "export-o"])
+    def test_missing_path_exits_2_and_creates_nothing(
+            self, argv, tmp_path, assert_usage_error):
+        store_dir = tmp_path / "no-store"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        path = argv[-1] if len(argv) > 1 else str(store_dir)
+        code = run_cli(*argv, "--store", str(store_dir))
+        assert_usage_error(code, "star-lab", path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBackoffFlags:
     def test_run_accepts_backoff_policy_flags(

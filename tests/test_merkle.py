@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tree.merkle import fold_level, merkle_levels, merkle_root
+from repro.tree.merkle import fold_level, merkle_root
 
 KEY = b"merkle-key"
 
@@ -65,17 +65,3 @@ class TestMerkleRoot:
     def test_order_matters(self, leaves):
         reordered = list(reversed(leaves))
         assert merkle_root(KEY, leaves) != merkle_root(KEY, reordered)
-
-
-class TestMerkleLevels:
-    def test_levels_shrink_to_root(self):
-        levels = merkle_levels(KEY, list(range(64)), arity=8)
-        assert [len(level) for level in levels] == [64, 8, 1]
-
-    def test_root_matches(self):
-        leaves = list(range(30))
-        levels = merkle_levels(KEY, leaves)
-        assert levels[-1][0] == merkle_root(KEY, leaves)
-
-    def test_empty(self):
-        assert merkle_levels(KEY, []) == [[]]

@@ -37,6 +37,18 @@ class TestStarTrace:
         with pytest.raises(SystemExit):
             trace_main([])
 
+    @pytest.mark.parametrize("case", [
+        "info-missing", "info-malformed", "info-not-gzip",
+        "generate-no-directory", "generate-onto-directory",
+    ])
+    def test_bad_path_exits_2_with_a_message(self, case, tmp_path,
+                                             assert_usage_error):
+        verb, _, problem = case.partition("-")
+        path = bad_path(tmp_path, problem)
+        argv = (["info", path] if verb == "info" else
+                ["generate", "--workload", "hash", "-o", path])
+        assert_usage_error(trace_main(argv), "star-trace", path)
+
 
 class TestStarRun:
     def test_basic_run(self, capsys):
@@ -93,6 +105,44 @@ class TestStarRun:
             "--workload", "array", "--operations", "50",
             "--wear-level", "0", "--memory-mb", "8", "--cache-kb", "8",
         ]) == 0
+
+    @pytest.mark.parametrize("problem", ["missing", "malformed",
+                                         "not-gzip"])
+    def test_unreadable_trace_exits_2_with_a_message(
+            self, problem, tmp_path, assert_usage_error):
+        path = bad_path(tmp_path, problem)
+        code = run_main(["--trace", path, "--memory-mb", "8",
+                         "--cache-kb", "4"])
+        assert_usage_error(code, "star-run", path)
+
+
+class TestStarStats:
+    @pytest.mark.parametrize("flag", ["--json", "--prom", "--events",
+                                      "--trace"])
+    def test_unwritable_output_exits_2_before_running(
+            self, flag, tmp_path, assert_usage_error):
+        path = bad_path(tmp_path, "no-directory")
+        code = stats_main(["--operations", "50", "--memory-mb", "8",
+                           "--cache-kb", "4", flag, path])
+        assert_usage_error(code, "star-stats", path)
+
+
+def bad_path(tmp_path, problem):
+    """A path the tools must refuse, without a traceback."""
+    if problem == "missing":
+        return str(tmp_path / "missing.trace")
+    if problem == "malformed":
+        path = tmp_path / "bad.trace"
+        path.write_text("R 1 10\nX 2 10\n")
+    elif problem == "not-gzip":
+        path = tmp_path / "bad.trace.gz"
+        path.write_text("R 1 10\n")
+    elif problem == "no-directory":
+        path = tmp_path / "missing" / "out.trace"
+    else:
+        assert problem == "onto-directory"
+        path = tmp_path
+    return str(path)
 
 
 # ----------------------------------------------------------------------
