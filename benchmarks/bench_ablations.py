@@ -26,42 +26,34 @@ def _run(scheme, config, workload="hash", operations=300, crash=False):
                    crash_and_recover=crash)
 
 
-def test_ablation_synergization_removes_persistence_writes(benchmark):
+def test_ablation_synergization_removes_persistence_writes():
     """Without synergization every modification needs its own write
     (Anubis); with it, the modification rides the payload write."""
-    def measure():
-        config = config_for_scale(SCALE)
-        star = _run("star", config)
-        anubis = _run("anubis", config)
-        wb = _run("wb", config)
-        return star, anubis, wb
-
-    star, anubis, wb = benchmark(measure)
+    config = config_for_scale(SCALE)
+    star = _run("star", config)
+    anubis = _run("anubis", config)
+    wb = _run("wb", config)
     star_extra = star.nvm_writes - wb.nvm_writes
     anubis_extra = anubis.nvm_writes - wb.nvm_writes
     assert star_extra < 0.3 * anubis_extra
 
 
-def test_ablation_index_guided_walk_vs_full_scan(benchmark):
+def test_ablation_index_guided_walk_vs_full_scan():
     """Recovery without the multi-layer index would read the entire
     recovery area; with it, only non-zero lines are read."""
-    def measure():
-        config = config_for_scale(SCALE)
-        machine = Machine(config, scheme="star")
-        bench = make_workload("hash", config.num_data_lines,
-                              operations=300, seed=42)
-        machine.run(bench.ops())
-        machine.crash()
-        report = machine.recover(raise_on_failure=True)
-        index = MultiLayerIndex(
-            machine.controller.geometry.total_nodes,
-            config.star.bitmap_fanout,
-        )
-        full_scan_reads = sum(index.layer_counts)
-        walk_reads = machine.recovery_stats["nvm.ra_reads"]
-        return walk_reads, full_scan_reads, report
-
-    walk_reads, full_scan_reads, report = benchmark(measure)
+    config = config_for_scale(SCALE)
+    machine = Machine(config, scheme="star")
+    bench = make_workload("hash", config.num_data_lines,
+                          operations=300, seed=42)
+    machine.run(bench.ops())
+    machine.crash()
+    report = machine.recover(raise_on_failure=True)
+    index = MultiLayerIndex(
+        machine.controller.geometry.total_nodes,
+        config.star.bitmap_fanout,
+    )
+    full_scan_reads = sum(index.layer_counts)
+    walk_reads = machine.recovery_stats["nvm.ra_reads"]
     assert report.verified
     assert walk_reads <= full_scan_reads
     # at paper scale (2 GB metadata, 3 layers) the gap is ~1000x; at
@@ -70,36 +62,29 @@ def test_ablation_index_guided_walk_vs_full_scan(benchmark):
         assert walk_reads == 0
 
 
-def test_ablation_adr_budget_vs_spill_traffic(benchmark):
+def test_ablation_adr_budget_vs_spill_traffic():
     """More ADR lines -> fewer recovery-area spills (Table II's dual)."""
-    def measure():
-        spills = {}
-        for lines in (2, 8, 32):
-            config = config_for_scale(SCALE, adr_bitmap_lines=lines)
-            result = _run("star", config)
-            spills[lines] = result.bitmap_writes
-        return spills
-
-    spills = benchmark(measure)
+    spills = {}
+    for lines in (2, 8, 32):
+        config = config_for_scale(SCALE, adr_bitmap_lines=lines)
+        result = _run("star", config)
+        spills[lines] = result.bitmap_writes
     assert spills[2] >= spills[8] >= spills[32]
 
 
-def test_ablation_recovery_cost_tracks_dirty_count(benchmark):
+def test_ablation_recovery_cost_tracks_dirty_count():
     """Crashing earlier (fewer dirty lines) must shorten recovery —
     the property Anubis lacks (its cost is fixed by the cache size)."""
-    def measure():
-        config = config_for_scale(SCALE)
-        costs = []
-        for operations in (50, 400):
-            machine = Machine(config, scheme="star")
-            bench = make_workload("hash", config.num_data_lines,
-                                  operations=operations, seed=42)
-            machine.run(bench.ops())
-            machine.crash()
-            report = machine.recover(raise_on_failure=True)
-            costs.append(report)
-        return costs
-
-    early, late = benchmark(measure)
+    config = config_for_scale(SCALE)
+    costs = []
+    for operations in (50, 400):
+        machine = Machine(config, scheme="star")
+        bench = make_workload("hash", config.num_data_lines,
+                              operations=operations, seed=42)
+        machine.run(bench.ops())
+        machine.crash()
+        report = machine.recover(raise_on_failure=True)
+        costs.append(report)
+    early, late = costs
     assert early.stale_lines <= late.stale_lines
     assert early.line_accesses <= late.line_accesses

@@ -30,37 +30,26 @@ def _ipcs(device_timing: bool, workload: str = "hash",
     return ipcs
 
 
-def test_device_timing_preserves_scheme_ordering(benchmark):
-    def measure():
-        return _ipcs(device_timing=False), _ipcs(device_timing=True)
-
-    flat, banked = benchmark(measure)
+def test_device_timing_preserves_scheme_ordering():
+    flat, banked = _ipcs(device_timing=False), _ipcs(device_timing=True)
     for ipcs in (flat, banked):
         normalized = {
             scheme: value / ipcs["wb"] for scheme, value in ipcs.items()
         }
         assert normalized["star"] >= normalized["anubis"] - 0.02
         assert normalized["anubis"] >= normalized["strict"]
-    benchmark.extra_info["flat"] = {k: round(v, 3)
-                                    for k, v in flat.items()}
-    benchmark.extra_info["banked"] = {k: round(v, 3)
-                                      for k, v in banked.items()}
 
 
-def test_device_row_locality_visible(benchmark):
+def test_device_row_locality_visible():
     """Sequential workloads enjoy higher row-hit ratios than random
     ones — the banked model actually models something."""
-    def measure():
-        ratios = {}
-        for workload in ("array", "hash"):
-            config = replace(config_for_scale(SCALE),
-                             device_timing=True)
-            machine = Machine(config, scheme="wb")
-            bench = make_workload(workload, config.num_data_lines,
-                                  operations=400, seed=42)
-            machine.run(bench.ops())
-            ratios[workload] = machine.timing.device.row_hit_ratio()
-        return ratios
-
-    ratios = benchmark(measure)
+    ratios = {}
+    for workload in ("array", "hash"):
+        config = replace(config_for_scale(SCALE),
+                         device_timing=True)
+        machine = Machine(config, scheme="wb")
+        bench = make_workload(workload, config.num_data_lines,
+                              operations=400, seed=42)
+        machine.run(bench.ops())
+        ratios[workload] = machine.timing.device.row_hit_ratio()
     assert ratios["array"] > ratios["hash"]

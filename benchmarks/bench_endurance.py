@@ -28,16 +28,10 @@ def _wear_for(scheme: str, workload: str = "queue",
     return wear_report(machine.nvm)
 
 
-def test_endurance_scheme_contrast(benchmark):
-    def measure():
-        return {
-            scheme: _wear_for(scheme)
-            for scheme in ("wb", "strict", "anubis", "star")
-        }
-
-    reports = benchmark(measure)
-    benchmark.extra_info["max_wear"] = {
-        scheme: report.max_wear for scheme, report in reports.items()
+def test_endurance_scheme_contrast():
+    reports = {
+        scheme: _wear_for(scheme)
+        for scheme in ("wb", "strict", "anubis", "star")
     }
     # STAR's hottest line is no hotter than a small factor over WB
     assert reports["star"].max_wear <= 2 * reports["wb"].max_wear
@@ -48,16 +42,13 @@ def test_endurance_scheme_contrast(benchmark):
     assert reports["strict"].hottest_line[0] == "meta"
 
 
-def test_endurance_lifetime_ordering(benchmark):
+def test_endurance_lifetime_ordering():
     """Lifetime consumed per unit of work orders the schemes exactly
     as Fig. 11 orders their write traffic."""
-    def measure():
-        return {
-            scheme: _wear_for(scheme, workload="array")
-            for scheme in ("wb", "anubis", "star")
-        }
-
-    reports = benchmark(measure)
+    reports = {
+        scheme: _wear_for(scheme, workload="array")
+        for scheme in ("wb", "anubis", "star")
+    }
     wb = reports["wb"].lifetime_fraction_consumed()
     star = reports["star"].lifetime_fraction_consumed()
     anubis = reports["anubis"].lifetime_fraction_consumed()

@@ -7,14 +7,13 @@ fraction of the baseline write traffic (ratios of tens to thousands at
 the scaled machine, infinity when the working set never spills ADR).
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig10
 
 
-def test_fig10_bitmap_write_traffic(benchmark, smoke_grid):
-    table = benchmark(experiment_fig10, SCALE, smoke_grid)
-    attach_rows(benchmark, table)
+def test_fig10_bitmap_write_traffic(smoke_grid):
+    table = experiment_fig10(SCALE, smoke_grid)
     data_rows = [row for row in table.rows
                  if row["workload"] != "average"]
     assert len(data_rows) == 7

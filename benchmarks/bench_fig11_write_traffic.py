@@ -6,14 +6,13 @@ workload  STAR < Anubis ~= 2.0 < strict, with STAR within a few percent
 of WB.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig11
 
 
-def test_fig11_write_traffic(benchmark, smoke_grid):
-    table = benchmark(experiment_fig11, SCALE, smoke_grid)
-    attach_rows(benchmark, table)
+def test_fig11_write_traffic(smoke_grid):
+    table = experiment_fig11(SCALE, smoke_grid)
     for row in table.rows:
         if row["workload"] == "gmean":
             continue
@@ -28,24 +27,19 @@ def test_fig11_write_traffic(benchmark, smoke_grid):
     assert gmean["anubis"] > 1.9
 
 
-def test_fig11_star_reduces_extra_traffic_vs_anubis(benchmark,
-                                                    smoke_grid):
+def test_fig11_star_reduces_extra_traffic_vs_anubis(smoke_grid):
     """The headline claim: ~92% of Anubis' extra writes eliminated."""
-    def measure():
-        reductions = []
-        for (scheme, workload), result in smoke_grid.items():
-            if scheme != "star":
-                continue
-            wb = smoke_grid[("wb", workload)]
-            anubis = smoke_grid[("anubis", workload)]
-            extra_star = result.nvm_writes - wb.nvm_writes
-            extra_anubis = anubis.nvm_writes - wb.nvm_writes
-            assert extra_anubis > 0
-            reductions.append(1.0 - extra_star / extra_anubis)
-        return sum(reductions) / len(reductions)
-
-    average = benchmark(measure)
-    benchmark.extra_info["extra_write_reduction"] = round(average, 4)
+    reductions = []
+    for (scheme, workload), result in smoke_grid.items():
+        if scheme != "star":
+            continue
+        wb = smoke_grid[("wb", workload)]
+        anubis = smoke_grid[("anubis", workload)]
+        extra_star = result.nvm_writes - wb.nvm_writes
+        extra_anubis = anubis.nvm_writes - wb.nvm_writes
+        assert extra_anubis > 0
+        reductions.append(1.0 - extra_star / extra_anubis)
+    average = sum(reductions) / len(reductions)
     assert average > 0.70, (
         "STAR should eliminate most of Anubis' extra write traffic "
         "(paper: 92%%), got %.0f%%" % (average * 100)

@@ -5,14 +5,13 @@ overhead); Anubis ~90%. Reproduced shape: STAR ~= WB > Anubis > strict
 on every workload.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig12
 
 
-def test_fig12_ipc(benchmark, smoke_grid):
-    table = benchmark(experiment_fig12, SCALE, smoke_grid)
-    attach_rows(benchmark, table)
+def test_fig12_ipc(smoke_grid):
+    table = experiment_fig12(SCALE, smoke_grid)
     for row in table.rows:
         if row["workload"] == "gmean":
             continue

@@ -5,14 +5,13 @@ shape: STAR within a few percent of WB, Anubis tens of percent above,
 strict persistence far above both.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig13
 
 
-def test_fig13_energy(benchmark, smoke_grid):
-    table = benchmark(experiment_fig13, SCALE, smoke_grid)
-    attach_rows(benchmark, table)
+def test_fig13_energy(smoke_grid):
+    table = experiment_fig13(SCALE, smoke_grid)
     for row in table.rows:
         if row["workload"] == "gmean":
             continue

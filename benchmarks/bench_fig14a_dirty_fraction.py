@@ -6,14 +6,13 @@ is why STAR (restoring only those) reads less state than Anubis
 sub-100% dirty fraction for every workload.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig14a
 
 
-def test_fig14a_dirty_fraction(benchmark, smoke_grid):
-    table = benchmark(experiment_fig14a, SCALE, smoke_grid)
-    attach_rows(benchmark, table)
+def test_fig14a_dirty_fraction(smoke_grid):
+    table = experiment_fig14a(SCALE, smoke_grid)
     rows = [row for row in table.rows if row["workload"] != "average"]
     assert len(rows) == 7
     for row in rows:

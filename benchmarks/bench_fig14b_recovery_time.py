@@ -8,18 +8,15 @@ grows linearly with cache size, STAR is a small constant factor slower
 than Anubis, and the projected 4 MB times land well under a second.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig14b
 
 CACHE_SIZES = (4 * 1024, 8 * 1024, 16 * 1024)
 
 
-def test_fig14b_recovery_time(benchmark):
-    table = benchmark(
-        experiment_fig14b, SCALE, CACHE_SIZES, "hash",
-    )
-    attach_rows(benchmark, table)
+def test_fig14b_recovery_time():
+    table = experiment_fig14b(SCALE, CACHE_SIZES, "hash")
     projected = [row for row in table.rows if row["kind"] == "projected"]
     star = [row["star_seconds"] for row in projected]
     anubis = [row["anubis_seconds"] for row in projected]
@@ -34,23 +31,19 @@ def test_fig14b_recovery_time(benchmark):
     assert four_mb["star_seconds"] < 0.5
 
 
-def test_fig14b_star_reads_scale_with_dirty_lines_not_cache(benchmark):
+def test_fig14b_star_reads_scale_with_dirty_lines_not_cache():
     """STAR's defining property: recovery cost tracks the number of
     dirty lines, not the cache or memory size."""
     from repro.bench.runner import config_for_scale, run_one
 
-    def measure():
-        costs = {}
-        for size in (4 * 1024, 16 * 1024):
-            config = config_for_scale(SCALE)
-            config = config.with_metadata_cache_bytes(size)
-            result = run_one(config, "star", "hash", operations=300,
-                             crash_and_recover=True)
-            assert result.recovery is not None
-            costs[size] = result.recovery
-        return costs
-
-    costs = benchmark(measure)
+    costs = {}
+    for size in (4 * 1024, 16 * 1024):
+        config = config_for_scale(SCALE)
+        config = config.with_metadata_cache_bytes(size)
+        result = run_one(config, "star", "hash", operations=300,
+                         crash_and_recover=True)
+        assert result.recovery is not None
+        costs[size] = result.recovery
     for recovery in costs.values():
         if recovery.stale_lines:
             per_node = recovery.line_accesses / recovery.stale_lines

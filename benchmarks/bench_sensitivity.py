@@ -1,7 +1,7 @@
 """Sensitivity sweeps (extensions of the paper's Table II / Fig. 14b
 methodology to the remaining design parameters)."""
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.sweeps import (
     sweep_bitmap_fanout,
@@ -10,12 +10,10 @@ from repro.bench.sweeps import (
 )
 
 
-def test_metadata_cache_sweep(benchmark):
-    table = benchmark(
-        sweep_metadata_cache, SCALE,
-        (4 * 1024, 8 * 1024, 16 * 1024), "hash",
+def test_metadata_cache_sweep():
+    table = sweep_metadata_cache(
+        SCALE, (4 * 1024, 8 * 1024, 16 * 1024), "hash",
     )
-    attach_rows(benchmark, table)
     wb_writes = table.column("wb_writes")
     assert wb_writes == sorted(wb_writes, reverse=True), \
         "a larger cache absorbs evictions"
@@ -24,9 +22,8 @@ def test_metadata_cache_sweep(benchmark):
         assert 0.0 <= row["dirty_fraction"] <= 1.0
 
 
-def test_phoenix_stride_sweep(benchmark):
-    table = benchmark(sweep_phoenix_stride, (1, 4, 16), "hash", 250)
-    attach_rows(benchmark, table)
+def test_phoenix_stride_sweep():
+    table = sweep_phoenix_stride((1, 4, 16), "hash", 250)
     persists = table.column("periodic_persists")
     assert persists == sorted(persists, reverse=True), \
         "longer strides persist less often"
@@ -34,11 +31,8 @@ def test_phoenix_stride_sweep(benchmark):
         "every stride must still recover exactly"
 
 
-def test_bitmap_fanout_sweep(benchmark):
-    table = benchmark(
-        sweep_bitmap_fanout, SCALE, (32, 128, 512), "hash",
-    )
-    attach_rows(benchmark, table)
+def test_bitmap_fanout_sweep():
+    table = sweep_bitmap_fanout(SCALE, (32, 128, 512), "hash")
     spills = table.column("bitmap_writes")
     assert spills == sorted(spills, reverse=True), \
         "wider coverage -> fewer bitmap spills"

@@ -6,19 +6,17 @@ ratio with diminishing returns; 16 lines already lands in the 60-95%
 band, justifying the paper's choice of 16.
 """
 
-from conftest import SCALE, attach_rows
+from conftest import SCALE
 
 from repro.bench.experiments import experiment_table2
 
 ADR_LINE_COUNTS = (2, 4, 8, 16, 32)
 
 
-def test_table2_adr_hit_ratio(benchmark):
-    table = benchmark(
-        experiment_table2, SCALE, ADR_LINE_COUNTS, ["array", "hash",
-                                                    "tpcc"],
+def test_table2_adr_hit_ratio():
+    table = experiment_table2(
+        SCALE, ADR_LINE_COUNTS, ["array", "hash", "tpcc"],
     )
-    attach_rows(benchmark, table)
     ratios = table.column("hit_ratio")
     assert ratios == sorted(ratios), "more ADR lines -> higher hit ratio"
     assert ratios[0] < ratios[-1]

@@ -1,11 +1,10 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the paper-shape checks.
 
 Each ``bench_*`` file regenerates one table/figure of the paper's
-evaluation (see DESIGN.md's experiment index). The pytest-benchmark
-fixture times the regeneration; the assertions check the *shape* of the
-result against the paper (who wins, by roughly what factor), and the
-measured series is attached to ``benchmark.extra_info`` so the JSON
-output carries the reproduced numbers.
+evaluation (see DESIGN.md's experiment index) and asserts the *shape*
+of the result against the paper: who wins, by roughly what factor.
+Timing lives in ``perfbench/`` (see EXPERIMENTS.md, "Simulator
+performance").
 """
 
 from __future__ import annotations
@@ -21,18 +20,8 @@ recorded in EXPERIMENTS.md."""
 @pytest.fixture(scope="session")
 def smoke_grid():
     """One scheme x workload grid shared by the traffic/IPC/energy
-    benches (regenerating it per bench would only re-time the same
+    checks (regenerating it per check would only repeat the same
     simulation)."""
     from repro.bench.experiments import paper_grid
 
     return paper_grid(SCALE)
-
-
-def attach_rows(benchmark, table) -> None:
-    """Record a reproduced table in the benchmark's extra info."""
-    benchmark.extra_info["experiment"] = table.experiment_id
-    benchmark.extra_info["rows"] = [
-        {key: (round(value, 4) if isinstance(value, float) else value)
-         for key, value in row.items()}
-        for row in table.rows
-    ]

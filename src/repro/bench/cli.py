@@ -100,24 +100,12 @@ def main(argv: Optional[List[str]] = None) -> int:
              "events.jsonl / spans.txt / trace.json into DIR",
     )
     parser.add_argument(
-        "--perf", metavar="PATH", nargs="?", const="BENCH_hotpath.json",
-        default=None,
-        help="run the hot-path micro-benchmarks and append a trajectory "
-             "entry to PATH (default: BENCH_hotpath.json); seeds the "
-             "baseline when the file is empty, then exits",
-    )
-    parser.add_argument(
-        "--perf-note", metavar="TEXT", default="",
-        help="annotation stored with the --perf trajectory entry",
-    )
-    parser.add_argument(
         "--lab", metavar="DIR", default=None,
         help="serve experiment cells from (and commit misses to) the "
              "lab result store at DIR — see star-lab",
     )
     args = parser.parse_args(argv)
-    status = output_error("star-bench", args.json, args.markdown,
-                          args.perf)
+    status = output_error("star-bench", args.json, args.markdown)
     if status:
         return status
 
@@ -126,21 +114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lab.bridge import LabCache
 
         lab = LabCache(args.lab)
-
-    if args.perf:
-        from repro.bench.hotpath import append_trajectory, run_hotpath
-
-        result = run_hotpath()
-        payload = append_trajectory(args.perf, result,
-                                    note=args.perf_note)
-        for name, score in result["scores"].items():
-            base = (payload["baseline"] or {}).get("scores", {}).get(name)
-            delta = ("%+.1f%% vs baseline" % ((score / base - 1) * 100.0)
-                     if base else "baseline seeded")
-            print("%-16s score %8.2f  (%s)" % (name, score, delta))
-        print("appended trajectory entry #%d to %s"
-              % (len(payload["trajectory"]), args.perf))
-        return 0
 
     if args.layout:
         from repro.bench.runner import config_for_scale

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.fuzz.corpus import CorpusFormatError
 from repro.fuzz.executor import materialize_trace, run_case
 from repro.fuzz.sampling import FuzzCase
 from repro.workloads.capture import load_trace, save_trace
@@ -176,12 +177,22 @@ def write_artifacts(result: MinimizationResult,
 
 def load_artifact(meta_path) -> Tuple[FuzzCase, List[Op], Optional[str],
                                       tuple]:
-    """Read back a minimized-failure artifact pair."""
+    """Read back a minimized-failure artifact pair.
+
+    A meta file that is not JSON, lacks a field or names a trace that
+    cannot be read raises :class:`CorpusFormatError` as ``PATH: reason``.
+    """
     meta_path = Path(meta_path)
-    meta = json.loads(meta_path.read_text(encoding="ascii"))
-    case = FuzzCase.from_dict(meta["case"])
-    ops = list(load_trace(meta_path.parent / meta["trace"]))
-    return case, ops, meta.get("defect"), tuple(meta["signature"])
+    try:
+        meta = json.loads(meta_path.read_text(encoding="ascii"))
+        case = FuzzCase.from_dict(meta["case"])
+        ops = list(load_trace(meta_path.parent / meta["trace"]))
+        return case, ops, meta.get("defect"), tuple(meta["signature"])
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(
+            "%s: not a replayable artifact (%s: %s)"
+            % (meta_path, type(exc).__name__, exc)
+        ) from None
 
 
 def replay_artifact(meta_path) -> Tuple[bool, tuple]:

@@ -583,7 +583,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "timeout", None) is not None and args.jobs < 2:
+        # one job runs each cell inline, where no timeout can fire
+        parser.error("argument --timeout: needs --jobs > 1")
     handlers = {
         "run": _cmd_run,
         "resume": _cmd_resume,

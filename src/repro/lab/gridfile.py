@@ -17,6 +17,7 @@ Bench grid::
 Recognized axes: ``adr_bitmap_lines``, ``bitmap_fanout`` and
 ``metadata_cache_bytes`` — the three structural sweeps the paper
 performs. ``operations`` defaults to the scale's per-workload count.
+Schemes and workloads must be registered names.
 
 Fuzz grid::
 
@@ -26,7 +27,9 @@ Fuzz grid::
 
 ``expand`` turns either into an ordered, deterministic
 :class:`~repro.lab.spec.RunSpec` list; ``campaign_id`` derives the
-stable checkpoint identity of that list.
+stable checkpoint identity of that list. A key the grid's kind never
+reads is a :class:`~repro.errors.ConfigError`, so a misspelt key fails
+before any cell runs instead of falling back to a default.
 """
 
 from __future__ import annotations
@@ -39,12 +42,26 @@ from typing import Dict, List, Union
 
 from repro.errors import ConfigError
 from repro.lab.spec import RunSpec, bench_spec, canonical_json, fuzz_spec
+from repro.schemes import SIT_SCHEMES
 from repro.workloads.registry import ALL_WORKLOADS
 
 PathLike = Union[str, Path]
 
 BENCH_AXES = ("adr_bitmap_lines", "bitmap_fanout",
               "metadata_cache_bytes")
+
+GRID_KEYS = {
+    "bench": frozenset({
+        "name", "kind", "scale", "schemes", "workloads", "seed",
+        "crash_and_recover", "metrics", "axes", "operations",
+        "adr_bitmap_lines", "bitmap_fanout",
+    }),
+    "fuzz": frozenset({
+        "name", "kind", "cases", "seed", "schemes", "workloads",
+        "min_operations", "max_operations", "attack_rate",
+    }),
+}
+"""The keys each kind of grid reads."""
 
 
 # ----------------------------------------------------------------------
@@ -135,6 +152,12 @@ def _expand_bench(grid: Dict) -> List[RunSpec]:
     spec_scale = SCALES[scale]
     schemes = grid.get("schemes") or ["star"]
     workloads = grid.get("workloads") or ["hash"]
+    for label, names, known in (("scheme", schemes, SIT_SCHEMES),
+                                ("workload", workloads, ALL_WORKLOADS)):
+        for name in sorted(set(names) - set(known)):
+            raise ConfigError("grid %r: unknown %s %r (choose from %s)"
+                              % (grid.get("name"), label, name,
+                                 ", ".join(sorted(known))))
     seed = grid.get("seed", 42)
     crash = bool(grid.get("crash_and_recover", False))
     metrics = tuple(grid.get("metrics", ()))
@@ -199,12 +222,19 @@ def _expand_fuzz(grid: Dict) -> List[RunSpec]:
 def expand(grid: Dict) -> List[RunSpec]:
     """The grid's ordered, deterministic spec list."""
     kind = grid.get("kind", "bench")
+    if kind not in GRID_KEYS:
+        raise ConfigError("grid %r: unknown kind %r"
+                          % (grid.get("name"), kind))
+    unknown = sorted(set(grid) - GRID_KEYS[kind])
+    if unknown:
+        raise ConfigError(
+            "grid %r: unknown key %s (a %s grid reads %s)"
+            % (grid.get("name"), ", ".join(map(repr, unknown)), kind,
+               ", ".join(sorted(GRID_KEYS[kind])))
+        )
     if kind == "bench":
         return _expand_bench(grid)
-    if kind == "fuzz":
-        return _expand_fuzz(grid)
-    raise ConfigError("grid %r: unknown kind %r"
-                      % (grid.get("name"), kind))
+    return _expand_fuzz(grid)
 
 
 def campaign_id(specs: List[RunSpec]) -> str:

@@ -1,9 +1,9 @@
 """STAR003: simulation paths must be deterministic.
 
-Fuzz campaigns (PR 2) replay cases bit-identically across processes,
-the perf gate (PR 3) compares committed scores, the lab store
-(PR 6) content-addresses results by spec, and the farm (PR 7) merges
-worker stores assuming spec-pure payloads, so anything under
+Fuzz campaigns replay cases bit-identically across processes,
+perfbench checks every cell's output against pinned digests, the lab
+store content-addresses results by spec, and the farm merges worker
+stores assuming spec-pure payloads, so anything under
 ``repro/sim``, ``repro/core``, ``repro/fuzz`` or ``repro/lab``
 (including ``lab/farm.py`` and ``lab/lease.py``) must not consult
 global randomness or wall clocks, and must not let set iteration

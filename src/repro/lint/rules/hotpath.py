@@ -5,7 +5,8 @@ for the per-access object churn (node images, cache lines, the LRU, the
 write queue, ADR, geometry, metric instruments). Those wins silently
 evaporate when a later edit drops the ``__slots__`` declaration or the
 ``slots=True`` dataclass flag — nothing fails, the simulator just gets
-slower until the perf gate trips. This rule pins the roster.
+slower, which only a benchmark run would show. This rule pins the
+roster: memory layout, not timing.
 
 A rostered class satisfies the rule when its body assigns ``__slots__``
 or it is decorated ``@dataclass(..., slots=True)``; classes expected to

@@ -205,12 +205,6 @@ def scan_heartbeats(directory: PathLike) -> Tuple[List[Dict], int]:
     return snapshots, corrupt
 
 
-def read_heartbeats(directory: PathLike) -> List[Dict]:
-    """Every worker's readable snapshot (compatibility shim over
-    :func:`scan_heartbeats` for callers that don't track damage)."""
-    return scan_heartbeats(directory)[0]
-
-
 @dataclass
 class WorkerView:
     """One worker's liveness as the aggregator sees it."""

@@ -165,16 +165,19 @@ def build_status(telemetry_dir: Union[str, Path],
                                           {"kind": "file"}),
             }
     if store_path is not None:
-        from repro.lab.scheduler import checkpoint_rates
-        from repro.lab.store import ResultStore
+        from repro.lab.scheduler import checkpoint_rates, read_journals
+        from repro.lab.store import ResultStore, StoreError
 
-        store = ResultStore(store_path)
         try:
-            from repro.lab.scheduler import read_journals
-
-            journal = _pick_journal(read_journals(store), campaign)
-        finally:
-            store.close()
+            store = ResultStore.existing(store_path)
+        except StoreError:
+            # star-top may start before the campaign creates its store
+            journal = None
+        else:
+            try:
+                journal = _pick_journal(read_journals(store), campaign)
+            finally:
+                store.close()
         if journal is not None:
             throughput, eta, stale = checkpoint_rates(
                 journal, now_wall=now_wall, stale_after_s=stale_after_s

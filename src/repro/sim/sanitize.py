@@ -23,7 +23,7 @@ manager's ADR store, asserting on every line write:
 Violations raise :class:`SanitizeError` (an ``AssertionError``
 subclass, so plain ``assert``-style handling works). With
 ``sanitize=False`` (the default) nothing is wrapped and the hot paths
-are untouched — the perf gate runs with sanitizers off.
+are untouched — perfbench runs with sanitizers off.
 
 The fuzzer exposes this as ``star-fuzz run --sanitize``.
 """

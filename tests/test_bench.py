@@ -145,7 +145,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["--experiment", "fig99"])
 
-    @pytest.mark.parametrize("flag", ["--json", "--markdown", "--perf"])
+    @pytest.mark.parametrize("flag", ["--json", "--markdown"])
     def test_unwritable_output_exits_2_before_running(
             self, flag, tmp_path, assert_usage_error):
         path = str(tmp_path / "missing" / "out")

@@ -1,5 +1,7 @@
 """Tests for the crash-consistency fuzzing campaign engine."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
@@ -179,3 +181,20 @@ class TestCli:
         assert err.startswith("star-fuzz: ") and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("meta", [
+        {"a": 1},
+        "not json",
+        {"trace": "gone.trace.gz", "signature": []},
+    ], ids=["no-case-field", "not-json", "missing-trace"])
+    def test_replay_rejects_a_malformed_artifact(
+            self, meta, tmp_path, assert_usage_error):
+        path = tmp_path / "c000000.json"
+        if isinstance(meta, dict):
+            if "trace" in meta:
+                case = sample_cases(CampaignSpec(cases=1, seed=1))[0]
+                meta["case"] = case.to_dict()
+            meta = json.dumps(meta)
+        path.write_text(meta)
+        code = fuzz_main(["replay", str(path)])
+        assert_usage_error(code, "star-fuzz", str(path))

@@ -266,6 +266,9 @@ class TestUsageErrors:
         (["work", "--jobs", "0"], "--jobs"),
         (["work", "--max-attempts", "0"], "--max-attempts"),
         (["work", "--net-retries", "-1"], "--net-retries"),
+        (["run", "--timeout", "5"], "--timeout"),
+        (["resume", "--timeout", "5"], "--timeout"),
+        (["work", "--timeout", "5"], "--timeout"),
     ])
     def test_bad_values_exit_2_with_a_message(
             self, argv, flag, grid_path, tmp_path, capsys):
@@ -283,6 +286,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert len(ResultStore(store_dir)) == 0
+
+    @pytest.mark.parametrize("grid", [
+        {"a": 1},
+        {"kind": "bench", "scale": "smoke", "operatons": 20},
+        {"kind": "bench", "scale": "smoke", "schemes": ["nope"]},
+        {"kind": "bench", "scale": "smoke", "workloads": ["nope"]},
+        {"kind": "fuzz", "cases": 2, "atack_rate": 0.5},
+    ], ids=["unread-key", "misspelt-key", "unknown-scheme",
+            "unknown-workload", "fuzz-misspelt-key"])
+    def test_bad_grid_exits_2_before_any_cell_runs(
+            self, grid, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        store_dir = tmp_path / "lab"
+        assert run_cli("run", "--grid", str(path),
+                       "--store", str(store_dir), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("star-lab: grid 'grid': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not store_dir.exists()
 
     @pytest.mark.parametrize("argv", [
         ["status"], ["export"], ["gc"], ["resume"],

@@ -35,7 +35,6 @@ from repro.obs.export import (
 from repro.obs.live import (
     HeartbeatWriter,
     aggregate_heartbeats,
-    read_heartbeats,
     registry_from_snapshot,
     registry_snapshot,
     scan_heartbeats,
@@ -88,7 +87,7 @@ class TestHeartbeatWriter:
                                  interval_s=0.0)
         assert writer.write(registry=sample_registry(),
                             progress={"cases": 3})
-        snapshots = read_heartbeats(tmp_path)
+        snapshots = scan_heartbeats(tmp_path)[0]
         assert len(snapshots) == 1
         beat = snapshots[0]
         assert beat["worker"] == "w0"
@@ -103,7 +102,7 @@ class TestHeartbeatWriter:
                                  interval_s=0.0)
         writer.write(progress={"cases": 1})
         writer.write(progress={"cases": 2})
-        snapshots = read_heartbeats(tmp_path)
+        snapshots = scan_heartbeats(tmp_path)[0]
         assert len(snapshots) == 1
         assert snapshots[0]["seq"] == 1
         assert snapshots[0]["progress"] == {"cases": 2}
@@ -133,11 +132,11 @@ class TestHeartbeatWriter:
                         interval_s=0.0).write()
         (tmp_path / "bad.jsonl").write_text("{not json\n")
         (tmp_path / "empty.jsonl").write_text("")
-        snapshots = read_heartbeats(tmp_path)
+        snapshots = scan_heartbeats(tmp_path)[0]
         assert [s["worker"] for s in snapshots] == ["good"]
 
     def test_missing_directory_reads_empty(self, tmp_path):
-        assert read_heartbeats(tmp_path / "nope") == []
+        assert scan_heartbeats(tmp_path / "nope")[0] == []
         assert scan_heartbeats(tmp_path / "nope") == ([], 0)
 
 
@@ -340,7 +339,7 @@ class TestCheckpoints:
         assert all(c["wall_s"] >= 50.0 for c in checkpoints)
         # the coordinator is the one heartbeat writer
         beats = {b["worker"]: b
-                 for b in read_heartbeats(tmp_path / "tele")}
+                 for b in scan_heartbeats(tmp_path / "tele")[0]}
         assert set(beats) == {"coordinator"}
         assert beats["coordinator"]["progress"]["completed"] == 3
 
@@ -430,6 +429,17 @@ class TestStarTop:
         assert top_main(["--store", str(store), "--once"]) == 0
         output = capsys.readouterr().out
         assert "star-top" in output
+
+    def test_star_top_never_creates_a_store(self, tmp_path, capsys):
+        """A store that does not exist yet means no campaign: star-top
+        may start before the campaign has created its store."""
+        from repro.obs.top import main as top_main
+
+        store = tmp_path / "not-yet"
+        assert top_main(["--store", str(store), "--once"]) == 0
+        output = capsys.readouterr().out
+        assert "star-top" in output and "campaign" not in output
+        assert not store.exists()
 
     def test_top_requires_a_source(self, capsys):
         from repro.obs.top import main as top_main
