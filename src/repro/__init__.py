@@ -3,13 +3,12 @@ non-volatile memories — a full reproduction of the HPCA 2021 paper.
 
 Quickstart::
 
-    from repro import Machine, sim_config, make_workload
+    from repro import Machine, TraceSpec, sim_config
 
     config = sim_config()
     machine = Machine(config, scheme="star")
-    workload = make_workload("btree", config.num_data_lines,
-                             operations=500)
-    machine.run(workload.ops())
+    trace = TraceSpec("btree", config.num_data_lines, operations=500)
+    machine.run(trace.ops())
     machine.crash()
     report = machine.recover(raise_on_failure=True)
     assert machine.oracle_check(report)
@@ -42,6 +41,7 @@ from repro.workloads import (
     ALL_WORKLOADS,
     MACRO_WORKLOADS,
     MICRO_WORKLOADS,
+    TraceSpec,
     make_workload,
 )
 
@@ -66,6 +66,7 @@ __all__ = [
     "SIT_SCHEMES",
     "StarConfig",
     "SystemConfig",
+    "TraceSpec",
     "VerificationError",
     "make_scheme",
     "make_workload",

@@ -4,9 +4,9 @@ Papers in this space typically tabulate their benchmarks' reference
 behaviour; the paper describes its seven workloads only qualitatively
 (hash/array are write-heavy, macros have higher locality). This
 experiment makes those properties measurable: per-operation reference
-mix, persist frequency, footprint, and two locality measures — the
-fraction of accesses whose line falls in the same page (counter block)
-as the previous access, and the unique-page count.
+mix, persist frequency, footprint, and locality — the fraction of
+accesses whose line falls in the same page (counter block) as the
+previous access.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ from typing import Iterable, Optional
 
 from repro.bench.runner import SCALES, config_for_scale
 from repro.bench.tables import ExperimentTable
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
-from repro.workloads.trace import OpKind
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
+from repro.workloads.trace import Op, OpKind
 
 
-def characterize_workload(name: str, num_data_lines: int,
-                          operations: int, seed: int = 42) -> dict:
-    """Reference-stream statistics of one workload."""
-    workload = make_workload(name, num_data_lines,
-                             operations=operations, seed=seed)
+def characterize(ops: Iterable[Op]) -> dict:
+    """Reference-stream statistics of any op stream: a generated
+    trace or a loaded trace file."""
     reads = writes = persists = instructions = 0
     same_page = transitions = 0
     lines = set()
-    pages = set()
     previous_page: Optional[int] = None
-    for op in workload.ops():
+    for op in ops:
         instructions += op.instructions
         if op.kind is OpKind.PERSIST:
             persists += 1
@@ -40,7 +37,6 @@ def characterize_workload(name: str, num_data_lines: int,
             writes += 1
         page = op.addr // 8  # a counter block covers 8 lines (SIT)
         lines.add(op.addr)
-        pages.add(page)
         if previous_page is not None:
             transitions += 1
             if page == previous_page:
@@ -48,14 +44,16 @@ def characterize_workload(name: str, num_data_lines: int,
         previous_page = page
     accesses = reads + writes
     return {
-        "workload": name,
+        "ops": accesses + persists,
         "reads": reads,
         "writes": writes,
         "persists": persists,
+        "instructions": instructions,
+        "lines": len(lines),
+        "line_range": (min(lines), max(lines)) if lines else None,
         "write_share": writes / accesses if accesses else 0.0,
         "instr_per_access": instructions / accesses if accesses else 0.0,
         "footprint_kb": len(lines) * 64 / 1024,
-        "pages": len(pages),
         "page_locality": same_page / transitions if transitions else 0.0,
     }
 
@@ -85,10 +83,10 @@ def experiment_characterization(
         ],
     )
     for name in workloads:
-        stats = characterize_workload(
-            name, config.num_data_lines,
-            spec.operations_for(name), seed=seed,
-        )
-        stats.pop("pages")
-        table.add_row(**stats)
+        stats = characterize(TraceSpec(
+            name, config.num_data_lines, spec.operations_for(name), seed,
+        ).ops())
+        table.add_row(workload=name, **{
+            column: stats[column] for column in table.columns[1:]
+        })
     return table

@@ -197,18 +197,15 @@ def _dump_telemetry(directory: str, scale: str, seed: int) -> None:
     from repro.obs.render import render_span_tree
     from repro.obs.tracing import write_chrome_trace
     from repro.sim.machine import Machine
-    from repro.workloads.registry import make_workload
+    from repro.workloads.registry import TraceSpec
 
     os.makedirs(directory, exist_ok=True)
     config = config_for_scale(scale)
     machine = Machine(config, scheme="star", profile=True)
     events_path = os.path.join(directory, "events.jsonl")
     machine.stats.registry.events.open_sink(events_path)
-    workload = make_workload(
-        "hash", config.num_data_lines,
-        operations=SCALES[scale].micro_operations, seed=seed,
-    )
-    machine.run(workload.ops())
+    machine.run(TraceSpec("hash", config.num_data_lines,
+                          SCALES[scale].micro_operations, seed).ops())
     machine.crash()
     machine.recover()
     machine.stats.registry.events.close_sink()

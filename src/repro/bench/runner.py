@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 from repro.config import SystemConfig, sim_config
 from repro.sim.machine import Machine
 from repro.sim.results import RunResult
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lab.bridge import LabCache
@@ -115,11 +115,8 @@ def run_one(config: SystemConfig, scheme: str, workload: str,
     if events_jsonl is not None:
         machine.stats.registry.events.open_sink(events_jsonl)
     try:
-        bench = make_workload(
-            workload, config.num_data_lines, operations=operations,
-            seed=seed
-        )
-        machine.run(bench.ops())
+        machine.run(TraceSpec(workload, config.num_data_lines,
+                              operations, seed).ops())
         recovery = None
         if crash_and_recover:
             machine.crash()

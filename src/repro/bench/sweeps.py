@@ -19,7 +19,7 @@ from typing import Sequence
 from repro.bench.runner import SCALES, config_for_scale, run_one
 from repro.bench.tables import ExperimentTable
 from repro.sim.machine import Machine
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import TraceSpec
 
 
 def sweep_metadata_cache(
@@ -80,9 +80,8 @@ def sweep_phoenix_stride(
     for stride in strides:
         machine = Machine(config,
                           scheme=PhoenixScheme(persist_stride=stride))
-        bench = make_workload(workload, config.num_data_lines,
-                              operations=operations, seed=seed)
-        machine.run(bench.ops())
+        machine.run(TraceSpec(workload, config.num_data_lines,
+                              operations, seed).ops())
         writes = machine.nvm.total_writes()
         persists = machine.stats["phoenix.periodic_persists"]
         machine.crash()

@@ -16,6 +16,7 @@ Two factory functions cover the common cases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -44,6 +45,23 @@ BITMAP_FANOUT = LINE_SIZE * 8
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def require_int(name: str, value: object,
+                minimum: Optional[int] = None) -> int:
+    """``value`` if it is an ``int`` (never a ``bool``) no smaller than
+    ``minimum``; anything else is a :class:`ConfigError` naming ``name``.
+
+    JSON grids and journals carry numbers untyped: ``2.5``, ``"many"``
+    or ``true`` must fail here, not deep in the simulator or under a
+    spec hash of their own.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    if minimum is not None and value < minimum:
+        raise ConfigError("%s must be at least %d, got %d"
+                          % (name, minimum, value))
+    return value
 
 
 def _is_power_of_two(value: int) -> bool:

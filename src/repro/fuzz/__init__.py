@@ -24,7 +24,6 @@ from repro.fuzz.executor import (
     CampaignResult,
     CaseResult,
     campaign_config,
-    materialize_trace,
     run_campaign,
     run_case,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "load_failures",
     "load_summary",
     "make_attack",
-    "materialize_trace",
     "minimize_failure",
     "read_corpus",
     "replay_artifact",

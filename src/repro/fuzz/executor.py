@@ -35,7 +35,7 @@ from repro.sim.crash import Attacker
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
 from repro.util.stats import Stats
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import TraceSpec
 from repro.workloads.trace import Op
 
 
@@ -47,18 +47,6 @@ def campaign_config() -> SystemConfig:
     with short traces, which is exactly the stress a crash fuzzer wants.
     """
     return small_config()
-
-
-def materialize_trace(case: FuzzCase,
-                      config: Optional[SystemConfig] = None) -> List[Op]:
-    """The case's full deterministic op list."""
-    if config is None:
-        config = campaign_config()
-    workload = make_workload(
-        case.workload, config.num_data_lines,
-        operations=case.operations, seed=case.seed,
-    )
-    return list(workload.ops())
 
 
 def _defect_skip_root_verify(report: RecoveryReport) -> None:
@@ -141,7 +129,8 @@ def run_case(case: FuzzCase, ops: Optional[Sequence[Op]] = None,
     """
     config = campaign_config()
     if ops is None:
-        trace = materialize_trace(case, config)
+        trace = list(TraceSpec(case.workload, config.num_data_lines,
+                               case.operations, case.seed).ops())
         crash_at = case.crash_index(len(trace))
         ops = trace[:crash_at]
     else:

@@ -26,9 +26,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.corpus import CorpusFormatError
-from repro.fuzz.executor import materialize_trace, run_case
+from repro.fuzz.executor import campaign_config, run_case
 from repro.fuzz.sampling import FuzzCase
 from repro.workloads.capture import load_trace, save_trace
+from repro.workloads.registry import TraceSpec
 from repro.workloads.trace import Op
 
 ARTIFACT_VERSION = 1
@@ -121,7 +122,9 @@ def minimize_failure(case: FuzzCase, defect: Optional[str] = None,
                      max_runs: int = 200
                      ) -> Optional[MinimizationResult]:
     """Shrink a failing case; ``None`` if it no longer fails."""
-    trace = materialize_trace(case)
+    trace = list(TraceSpec(case.workload,
+                           campaign_config().num_data_lines,
+                           case.operations, case.seed).ops())
     crash_at = case.crash_index(len(trace))
     ops = trace[:crash_at]
     original = run_case(case, ops=ops, defect=defect)

@@ -19,6 +19,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
+from repro.config import require_int
 from repro.errors import ConfigError
 from repro.fuzz.attacks import eligible_attacks
 from repro.schemes import SIT_SCHEMES
@@ -86,6 +87,8 @@ class CampaignSpec:
     name — used to prove the oracle stack catches detection bugs."""
 
     def validate(self) -> None:
+        for name in ("cases", "seed", "min_operations", "max_operations"):
+            require_int(name, getattr(self, name))
         if self.cases < 1:
             raise ConfigError("campaign needs at least one case")
         if not self.schemes:
@@ -100,7 +103,9 @@ class CampaignSpec:
                 raise ConfigError("unknown workload %r" % workload)
         if not 1 <= self.min_operations <= self.max_operations:
             raise ConfigError("bad operation-count range")
-        if not 0.0 <= self.attack_rate <= 1.0:
+        rate = self.attack_rate
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                or not 0.0 <= rate <= 1.0):
             raise ConfigError("attack rate must be within [0, 1]")
         if self.defect is not None:
             from repro.fuzz.executor import DEFECTS

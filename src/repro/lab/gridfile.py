@@ -38,12 +38,13 @@ import hashlib
 import itertools
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Union
 
+from repro.config import require_int
 from repro.errors import ConfigError
 from repro.lab.spec import RunSpec, bench_spec, canonical_json, fuzz_spec
 from repro.schemes import SIT_SCHEMES
-from repro.workloads.registry import ALL_WORKLOADS
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
 
 PathLike = Union[str, Path]
 
@@ -142,34 +143,58 @@ def load_grid(name_or_path: PathLike) -> Dict:
 # ----------------------------------------------------------------------
 # expansion
 # ----------------------------------------------------------------------
+def _names(grid: Dict, key: str, known: Iterable[str],
+           default: List[str]) -> List[str]:
+    """A grid's list of registered names; an empty list means
+    ``default``."""
+    names = grid.get(key, default)
+    if not isinstance(names, list):
+        raise ConfigError("%s must be a list, got %r" % (key, names))
+    known = sorted(known)
+    for name in names:
+        if name not in known:
+            raise ConfigError("unknown %s %r (choose from %s)"
+                              % (key[:-1], name, ", ".join(known)))
+    return names or default
+
+
 def _expand_bench(grid: Dict) -> List[RunSpec]:
     from repro.bench.runner import SCALES, config_for_scale
 
     scale = grid.get("scale", "default")
     if scale not in SCALES:
-        raise ConfigError("grid %r: unknown scale %r"
-                          % (grid.get("name"), scale))
+        raise ConfigError("unknown scale %r" % (scale,))
     spec_scale = SCALES[scale]
-    schemes = grid.get("schemes") or ["star"]
-    workloads = grid.get("workloads") or ["hash"]
-    for label, names, known in (("scheme", schemes, SIT_SCHEMES),
-                                ("workload", workloads, ALL_WORKLOADS)):
-        for name in sorted(set(names) - set(known)):
-            raise ConfigError("grid %r: unknown %s %r (choose from %s)"
-                              % (grid.get("name"), label, name,
-                                 ", ".join(sorted(known))))
+    schemes = _names(grid, "schemes", SIT_SCHEMES, ["star"])
+    workloads = _names(grid, "workloads", ALL_WORKLOADS, ["hash"])
     seed = grid.get("seed", 42)
-    crash = bool(grid.get("crash_and_recover", False))
-    metrics = tuple(grid.get("metrics", ()))
-    axes = dict(grid.get("axes", {}))
-    for key in axes:
+    crash = grid.get("crash_and_recover", False)
+    if not isinstance(crash, bool):
+        raise ConfigError("crash_and_recover must be true or false, "
+                          "got %r" % (crash,))
+    metrics = grid.get("metrics", [])
+    if not (isinstance(metrics, list)
+            and all(isinstance(prefix, str) for prefix in metrics)):
+        raise ConfigError("metrics must be a list of counter-name "
+                          "prefixes, got %r" % (metrics,))
+    for key in ("adr_bitmap_lines", "bitmap_fanout"):
+        if key in grid:
+            require_int(key, grid[key], 1)
+    axes = grid.get("axes", {})
+    if not isinstance(axes, dict):
+        raise ConfigError("axes must map an axis to its values, got %r"
+                          % (axes,))
+    for key, values in axes.items():
         if key not in BENCH_AXES:
-            raise ConfigError(
-                "grid %r: unknown axis %r (choose from %s)"
-                % (grid.get("name"), key, ", ".join(BENCH_AXES))
-            )
+            raise ConfigError("unknown axis %r (choose from %s)"
+                              % (key, ", ".join(BENCH_AXES)))
+        if not isinstance(values, list):
+            raise ConfigError("axis %s must be a list, got %r"
+                              % (key, values))
+        for value in values:
+            require_int(key, value, 1)
     axis_keys = sorted(axes)
-    axis_values = [list(axes[key]) for key in axis_keys]
+    axis_values = [axes[key] for key in axis_keys]
     combos = (
         list(itertools.product(*axis_values)) if axis_keys else [()]
     )
@@ -194,10 +219,12 @@ def _expand_bench(grid: Dict) -> List[RunSpec]:
             operations = grid.get(
                 "operations", spec_scale.operations_for(workload)
             )
+            # the cell's trace, checked before any cell runs
+            TraceSpec(workload, config.num_data_lines, operations, seed)
             for scheme in schemes:
                 specs.append(bench_spec(
                     config, scheme, workload, operations, seed=seed,
-                    crash_and_recover=crash, metrics=metrics,
+                    crash_and_recover=crash, metrics=tuple(metrics),
                 ))
     return specs
 
@@ -205,22 +232,28 @@ def _expand_bench(grid: Dict) -> List[RunSpec]:
 def _expand_fuzz(grid: Dict) -> List[RunSpec]:
     from repro.fuzz.sampling import CampaignSpec, sample_cases
 
+    defaults = CampaignSpec()
     campaign = CampaignSpec(
-        cases=grid.get("cases", 32),
-        seed=grid.get("seed", 0),
-        schemes=list(grid.get("schemes")
-                     or CampaignSpec().schemes),
-        workloads=list(grid.get("workloads")
-                       or CampaignSpec().workloads),
-        min_operations=grid.get("min_operations", 40),
-        max_operations=grid.get("max_operations", 160),
-        attack_rate=grid.get("attack_rate", 0.5),
+        cases=grid.get("cases", defaults.cases),
+        seed=grid.get("seed", defaults.seed),
+        schemes=_names(grid, "schemes", SIT_SCHEMES, defaults.schemes),
+        workloads=_names(grid, "workloads", ALL_WORKLOADS,
+                         defaults.workloads),
+        min_operations=grid.get("min_operations",
+                                defaults.min_operations),
+        max_operations=grid.get("max_operations",
+                                defaults.max_operations),
+        attack_rate=grid.get("attack_rate", defaults.attack_rate),
     )
     return [fuzz_spec(case) for case in sample_cases(campaign)]
 
 
 def expand(grid: Dict) -> List[RunSpec]:
-    """The grid's ordered, deterministic spec list."""
+    """The grid's ordered, deterministic spec list.
+
+    Every value is checked here, before any cell runs; a bad one is a
+    :class:`ConfigError` naming the grid.
+    """
     kind = grid.get("kind", "bench")
     if kind not in GRID_KEYS:
         raise ConfigError("grid %r: unknown kind %r"
@@ -232,9 +265,12 @@ def expand(grid: Dict) -> List[RunSpec]:
             % (grid.get("name"), ", ".join(map(repr, unknown)), kind,
                ", ".join(sorted(GRID_KEYS[kind])))
         )
-    if kind == "bench":
-        return _expand_bench(grid)
-    return _expand_fuzz(grid)
+    try:
+        if kind == "bench":
+            return _expand_bench(grid)
+        return _expand_fuzz(grid)
+    except ConfigError as exc:
+        raise ConfigError("grid %r: %s" % (grid.get("name"), exc)) from None
 
 
 def campaign_id(specs: List[RunSpec]) -> str:

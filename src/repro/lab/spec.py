@@ -31,6 +31,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.errors import ConfigError
+from repro.workloads.registry import check_trace_fields
 
 if TYPE_CHECKING:
     from repro.fuzz.sampling import FuzzCase
@@ -130,8 +131,7 @@ class RunSpec:
                 "unknown spec kind %r (choose from %s)"
                 % (self.kind, ", ".join(KINDS))
             )
-        if self.operations < 1:
-            raise ConfigError("spec needs at least one operation")
+        check_trace_fields(self.workload, self.operations, self.seed)
 
     # ------------------------------------------------------------------
     # identity

@@ -37,7 +37,7 @@ from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NVM
 from repro.sim.registers import OnChipRegisters
 from repro.tree.geometry import NodeId
-from repro.tree.node import CachedNode
+from repro.tree.node import CachedNode, NodeImage
 from repro.tree.sit import SITAuthenticator
 from repro.util.bitfield import mask
 from repro.util.stats import Stats
@@ -273,6 +273,27 @@ class SecureMemoryController:
         line = self.meta_cache.lookup(addr)
         if line is not None:
             return line.payload
+        # ... or that also persists and evicts it again, rewriting the
+        # image read above: verify the one the cascade left instead (an
+        # uncounted peek: the read above already paid for the line)
+        current = self.nvm.peek_meta(addr)
+        if current is not None and current is not image:
+            image, touched = current, True
+        self._verify_image(node_id, image, touched, parent_counter)
+        return self._install(node_id, addr, image, pins)
+
+    def _parent_counter_for(self, node_id: NodeId,
+                            pins: List[int]) -> int:
+        """The parent's counter for ``node_id`` (fetching the parent)."""
+        if self.geometry.is_top_level(node_id):
+            return self.registers.sit_root.counters[node_id[1]]
+        parent_id = self.geometry.parent_of(node_id)
+        parent = self._get_node(parent_id, pins)
+        return parent.counters[self.geometry.slot_in_parent(node_id)]
+
+    def _verify_image(self, node_id: NodeId, image: NodeImage,
+                      touched: bool, parent_counter: int) -> None:
+        """MAC-check a fetched node image against its parent's counter."""
         if touched:
             self.stats.add("ctrl.verifications")
             if not self.auth.verify_node_image(
@@ -289,28 +310,22 @@ class SecureMemoryController:
                 "metadata node %r was persisted %d times but its NVM "
                 "line is missing" % (node_id, parent_counter)
             )
-        return self._install(addr, CachedNode.from_image(image), pins)
 
-    def _parent_counter_for(self, node_id: NodeId,
-                            pins: List[int]) -> int:
-        """The parent's counter for ``node_id`` (fetching the parent)."""
-        if self.geometry.is_top_level(node_id):
-            return self.registers.sit_root.counters[node_id[1]]
-        parent_id = self.geometry.parent_of(node_id)
-        parent = self._get_node(parent_id, pins)
-        return parent.counters[self.geometry.slot_in_parent(node_id)]
-
-    def _install(self, addr: int, cached: CachedNode,
-                 pins: List[int], dirty: bool = False) -> CachedNode:
-        """Insert a line, persisting/evicting LRU victims as needed.
+    def _install(self, node_id: NodeId, addr: int, image: NodeImage,
+                 pins: List[int]) -> CachedNode:
+        """Insert a verified image, persisting/evicting LRU victims as
+        needed.
 
         Evicting a dirty victim persists it, which fetches *its* parent —
         and that parent may be exactly the line being installed here. The
         loop therefore re-probes after every eviction and, when a cascade
         has already installed the line, returns the resident copy (it is
         the authoritative one: the cascade may have incremented its
-        counters since ``cached`` was read from NVM).
+        counters since ``image`` was read from NVM). A cascade that also
+        persisted and evicted the line leaves a newer image in NVM; that
+        one is verified and installed instead of the stale ``image``.
         """
+        evicted = False
         while True:
             line = self.meta_cache.lookup(addr, touch=False)
             if line is not None:
@@ -319,7 +334,17 @@ class SecureMemoryController:
             if victim is None:
                 break
             self._evict_line(victim, pins)
-        self.meta_cache.insert(addr, cached, dirty)
+            evicted = True
+        if evicted:
+            # the cascade that rewrote the image also bumped the
+            # parent's counter for it; both are peeked, uncounted
+            current = self.nvm.peek_meta(addr)
+            if current is not None and current is not image:
+                image = current
+                self._verify_image(node_id, image, True,
+                                   self._peek_parent_counter(node_id))
+        cached = CachedNode.from_image(image)
+        self.meta_cache.insert(addr, cached)
         self.scheme.on_cache_install(addr)
         return cached
 

@@ -19,18 +19,14 @@ import sys
 from typing import List, Optional
 
 from repro.config import sim_config
-from repro.errors import ReproError
+from repro.errors import AllocationError, ConfigError, ReproError
 from repro.schemes import SIT_SCHEMES
 from repro.sim.endurance import wear_report
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
 from repro.tools import int_at_least, path_error
 from repro.workloads.capture import load_trace
-from repro.workloads.registry import (
-    ALL_WORKLOADS,
-    make_threaded_trace,
-    make_workload,
-)
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,37 +62,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.crash and not SIT_SCHEMES[args.scheme].supports_sit_recovery:
+        return path_error("star-run", "--crash",
+                          "scheme %s cannot recover; run it without "
+                          "--crash" % args.scheme)
+    config = sim_config(
+        memory_bytes=args.memory_mb * 1024 ** 2,
+        metadata_cache_bytes=args.cache_kb * 1024,
+    )
     if args.trace:
         try:
             ops = list(load_trace(args.trace))
         except (ReproError, OSError, ValueError) as exc:
             return path_error("star-run", args.trace, exc)
-    config = sim_config(
-        memory_bytes=args.memory_mb * 1024 ** 2,
-        metadata_cache_bytes=args.cache_kb * 1024,
-    )
+        source = "trace %s" % args.trace
+    else:
+        try:
+            ops = TraceSpec(args.workload, config.num_data_lines,
+                            args.operations, args.seed, args.threads).ops()
+        except (ConfigError, AllocationError) as exc:
+            return path_error("star-run", "--memory-mb", exc)
+        source = args.workload
+        if args.threads > 1:
+            source += " x%d threads" % args.threads
     nvm = None
     if args.wear_level:
         from repro.mem.wearlevel import WearLevelingNVM
 
         nvm = WearLevelingNVM(config.num_data_lines, args.wear_level)
     machine = Machine(config, scheme=args.scheme, nvm=nvm)
-
-    if args.trace:
-        source = "trace %s" % args.trace
-    elif args.threads > 1:
-        ops = make_threaded_trace(
-            args.workload, config.num_data_lines,
-            threads=args.threads, operations=args.operations,
-            seed=args.seed,
-        )
-        source = "%s x%d threads" % (args.workload, args.threads)
-    else:
-        ops = make_workload(
-            args.workload, config.num_data_lines,
-            operations=args.operations, seed=args.seed,
-        ).ops()
-        source = args.workload
     machine.run(ops)
 
     if args.audit:

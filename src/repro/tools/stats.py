@@ -23,6 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.config import sim_config
+from repro.errors import AllocationError, ConfigError
 from repro.obs.export import (
     telemetry_snapshot,
     to_prometheus_text,
@@ -30,8 +31,8 @@ from repro.obs.export import (
 from repro.obs.render import render_snapshot
 from repro.schemes import SIT_SCHEMES
 from repro.sim.machine import Machine
-from repro.tools import int_at_least, output_error
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.tools import int_at_least, output_error, path_error
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,19 +84,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                           args.events, args.trace)
     if status:
         return status
+    if args.crash and not SIT_SCHEMES[args.scheme].supports_sit_recovery:
+        return path_error("star-stats", "--crash",
+                          "scheme %s cannot recover; pass --no-crash"
+                          % args.scheme)
     config = sim_config(
         memory_bytes=args.memory_mb * 1024 ** 2,
         metadata_cache_bytes=args.cache_kb * 1024,
     )
+    try:
+        ops = TraceSpec(args.workload, config.num_data_lines,
+                        args.operations, args.seed).ops()
+    except (ConfigError, AllocationError) as exc:
+        return path_error("star-stats", "--memory-mb", exc)
     machine = Machine(config, scheme=args.scheme,
                       profile=bool(args.trace))
     if args.events:
         machine.stats.registry.events.open_sink(args.events)
-    workload = make_workload(
-        args.workload, config.num_data_lines,
-        operations=args.operations, seed=args.seed,
-    )
-    machine.run(workload.ops())
+    machine.run(ops)
     if args.crash:
         machine.crash()
         machine.recover()

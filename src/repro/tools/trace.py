@@ -13,15 +13,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.bench.characterize import characterize
+from repro.errors import AllocationError, ConfigError, ReproError
 from repro.tools import int_at_least, output_error, path_error
 from repro.workloads.capture import load_trace, save_trace
-from repro.workloads.registry import (
-    ALL_WORKLOADS,
-    make_threaded_trace,
-    make_workload,
-)
-from repro.workloads.trace import OpKind, count_kinds
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,16 +52,11 @@ def _generate(args) -> int:
     status = output_error("star-trace", args.output)
     if status:
         return status
-    if args.threads > 1:
-        ops = make_threaded_trace(
-            args.workload, args.lines, threads=args.threads,
-            operations=args.operations, seed=args.seed,
-        )
-    else:
-        ops = make_workload(
-            args.workload, args.lines,
-            operations=args.operations, seed=args.seed,
-        ).ops()
+    try:
+        ops = TraceSpec(args.workload, args.lines, args.operations,
+                        args.seed, args.threads).ops()
+    except (ConfigError, AllocationError) as exc:
+        return path_error("star-trace", "--lines", exc)
     header = "workload=%s operations=%d seed=%d threads=%d lines=%d" % (
         args.workload, args.operations, args.seed, args.threads,
         args.lines,
@@ -77,25 +68,22 @@ def _generate(args) -> int:
 
 def _info(args) -> int:
     try:
-        ops = list(load_trace(args.path))
+        stats = characterize(load_trace(args.path))
     except (ReproError, OSError, ValueError) as exc:
         return path_error("star-trace", args.path, exc)
-    if not ops:
+    if not stats["ops"]:
         print("empty trace")
         return 1
-    kinds = count_kinds(ops)
-    touched = {op.addr for op in ops if op.kind is not OpKind.PERSIST}
-    instructions = sum(op.instructions for op in ops)
     print("trace: %s" % args.path)
-    print("  ops           %d" % len(ops))
-    print("  reads         %d" % kinds[OpKind.READ])
-    print("  writes        %d" % kinds[OpKind.WRITE])
-    print("  persists      %d" % kinds[OpKind.PERSIST])
-    print("  instructions  %d" % instructions)
-    print("  unique lines  %d" % len(touched))
-    print("  address range [%d, %d]" % (min(touched), max(touched)))
-    footprint_kb = len(touched) * 64 / 1024
-    print("  footprint     %.1f KB" % footprint_kb)
+    print("  ops           %d" % stats["ops"])
+    print("  reads         %d" % stats["reads"])
+    print("  writes        %d" % stats["writes"])
+    print("  persists      %d" % stats["persists"])
+    print("  instructions  %d" % stats["instructions"])
+    print("  unique lines  %d" % stats["lines"])
+    if stats["line_range"] is not None:
+        print("  address range [%d, %d]" % stats["line_range"])
+    print("  footprint     %.1f KB" % stats["footprint_kb"])
     return 0
 
 

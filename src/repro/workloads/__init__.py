@@ -13,17 +13,11 @@ from repro.workloads.registry import (
     MACRO_WORKLOADS,
     MICRO_WORKLOADS,
     WORKLOAD_CLASSES,
-    make_threaded_trace,
+    TraceSpec,
     make_workload,
 )
 from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.trace import (
-    Op,
-    OpKind,
-    TraceBuilder,
-    count_kinds,
-    interleave_traces,
-)
+from repro.workloads.trace import Op, OpKind, interleave_traces
 from repro.workloads.ycsb import YcsbWorkload, ZipfianSampler
 
 __all__ = [
@@ -39,15 +33,13 @@ __all__ = [
     "QueueWorkload",
     "RBTreeWorkload",
     "TpccWorkload",
-    "TraceBuilder",
+    "TraceSpec",
     "WORKLOAD_CLASSES",
     "Workload",
     "YcsbWorkload",
     "ZipfianSampler",
-    "count_kinds",
     "interleave_traces",
     "load_trace",
-    "make_threaded_trace",
     "make_workload",
     "save_trace",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterator
 
 
 class OpKind(enum.Enum):
@@ -39,48 +39,6 @@ class Op:
             raise ValueError("line address must be non-negative")
         if self.instructions < 0:
             raise ValueError("instruction gap must be non-negative")
-
-
-class TraceBuilder:
-    """Convenience emitter used by the workload implementations."""
-
-    def __init__(self, instructions_per_op: int = 50) -> None:
-        self.instructions_per_op = instructions_per_op
-        self._ops: List[Op] = []
-
-    def read(self, addr: int, instructions: int = -1) -> None:
-        self._ops.append(Op(OpKind.READ, addr, self._gap(instructions)))
-
-    def write(self, addr: int, instructions: int = -1,
-              persistent: bool = True) -> None:
-        self._ops.append(
-            Op(OpKind.WRITE, addr, self._gap(instructions), persistent)
-        )
-
-    def persist(self, instructions: int = -1) -> None:
-        self._ops.append(Op(OpKind.PERSIST, 0, self._gap(instructions)))
-
-    def _gap(self, instructions: int) -> int:
-        return (
-            self.instructions_per_op if instructions < 0 else instructions
-        )
-
-    def ops(self) -> List[Op]:
-        return list(self._ops)
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __iter__(self) -> Iterator[Op]:
-        return iter(self._ops)
-
-
-def count_kinds(ops: Iterable[Op]) -> dict:
-    """Histogram of op kinds (test/inspection helper)."""
-    counts = {kind: 0 for kind in OpKind}
-    for op in ops:
-        counts[op.kind] += 1
-    return counts
 
 
 def interleave_traces(traces, chunk: int = 4,

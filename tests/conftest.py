@@ -32,13 +32,15 @@ def run_small_workload(machine: Machine, name: str = "hash",
 
 @pytest.fixture
 def assert_usage_error(capsys):
-    """Check that a tool refused a bad path before doing any work:
-    exit 2, one ``PROG: PATH: reason`` line on stderr, empty stdout."""
-    def check(code: int, prog: str, path: str) -> None:
+    """Check that a tool refused a bad path (or flag) before doing any
+    work: exit 2, one ``PROG: PATH: reason`` line on stderr, empty
+    stdout. Returns the stderr line."""
+    def check(code: int, prog: str, path: str) -> str:
         assert code == 2
         out, err = capsys.readouterr()
         assert err.startswith("%s: %s: " % (prog, path))
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out == ""
+        return err
 
     return check

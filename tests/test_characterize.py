@@ -1,35 +1,40 @@
 """Tests for the workload characterization experiment."""
 
 from repro.bench.characterize import (
-    characterize_workload,
+    characterize,
     experiment_characterization,
 )
+from repro.workloads.registry import TraceSpec
 
 LINES = 64 * 1024
 
 
+def _stats(name, lines, operations):
+    return characterize(TraceSpec(name, lines, operations).ops())
+
+
 class TestCharacterizeWorkload:
     def test_counts_are_consistent(self):
-        stats = characterize_workload("array", LINES, operations=100)
+        stats = _stats("array", LINES, operations=100)
         assert stats["reads"] == 100       # one read per update
         assert stats["writes"] == 100
         assert stats["persists"] == 100
         assert stats["write_share"] == 0.5
 
     def test_footprint_bounded_by_structure(self):
-        stats = characterize_workload("queue", LINES, operations=200)
+        stats = _stats("queue", LINES, operations=200)
         # header + ring slots only
         assert stats["footprint_kb"] <= (1 + 4096) * 64 / 1024
 
     def test_queue_more_local_than_hash(self):
         """The paper's qualitative locality ordering, quantified."""
-        queue = characterize_workload("queue", LINES, operations=400)
-        hash_ = characterize_workload("hash", LINES, operations=400)
+        queue = _stats("queue", LINES, operations=400)
+        hash_ = _stats("hash", LINES, operations=400)
         assert queue["page_locality"] > hash_["page_locality"]
 
     def test_hash_is_write_heavier_than_btree(self):
-        hash_ = characterize_workload("hash", LINES, operations=400)
-        btree = characterize_workload("btree", LINES, operations=400)
+        hash_ = _stats("hash", LINES, operations=400)
+        btree = _stats("btree", LINES, operations=400)
         assert hash_["write_share"] > btree["write_share"]
 
 

@@ -10,9 +10,9 @@ nondeterminism.
 
 import multiprocessing
 
-from repro.fuzz import CampaignSpec, materialize_trace, sample_cases
+from repro.fuzz import CampaignSpec, campaign_config, sample_cases
 from repro.workloads.capture import format_op
-from repro.workloads.registry import ALL_WORKLOADS, make_workload
+from repro.workloads.registry import ALL_WORKLOADS, TraceSpec, make_workload
 
 NUM_LINES = 1 << 13
 OPERATIONS = 120
@@ -28,7 +28,9 @@ def _render(name):
 def _render_case(case_dict):
     from repro.fuzz.sampling import FuzzCase
 
-    ops = materialize_trace(FuzzCase.from_dict(case_dict))
+    case = FuzzCase.from_dict(case_dict)
+    ops = TraceSpec(case.workload, campaign_config().num_data_lines,
+                    case.operations, case.seed).ops()
     return "\n".join(format_op(op) for op in ops)
 
 

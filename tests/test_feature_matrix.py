@@ -14,7 +14,7 @@ from repro.config import small_config
 from repro.mem.wearlevel import WearLevelingNVM
 from repro.sim.machine import Machine
 from repro.sim.validate import audit_machine
-from repro.workloads.registry import make_threaded_trace, make_workload
+from repro.workloads.registry import TraceSpec, make_workload
 
 SCHEMES = ["wb", "strict", "anubis", "star", "phoenix"]
 
@@ -43,11 +43,9 @@ def test_every_scheme_runs_under_every_timing_model(scheme, device):
 @pytest.mark.parametrize("scheme", ["star", "anubis", "phoenix"])
 def test_recovery_composes_with_device_and_wear_leveling(scheme):
     machine = build_machine(scheme, device=True, wear_level=64)
-    trace = make_threaded_trace(
-        "hash", machine.config.num_data_lines, threads=2,
-        operations=60, seed=5,
-    )
-    machine.run(trace)
+    trace = TraceSpec("hash", machine.config.num_data_lines, 60, seed=5,
+                      threads=2)
+    machine.run(trace.ops())
     machine.crash()
     report = machine.recover()
     assert machine.oracle_check(report), (

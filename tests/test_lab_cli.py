@@ -287,16 +287,52 @@ class TestUsageErrors:
         assert flag in err and "Traceback" not in err
         assert len(ResultStore(store_dir)) == 0
 
-    @pytest.mark.parametrize("grid", [
-        {"a": 1},
-        {"kind": "bench", "scale": "smoke", "operatons": 20},
-        {"kind": "bench", "scale": "smoke", "schemes": ["nope"]},
-        {"kind": "bench", "scale": "smoke", "workloads": ["nope"]},
-        {"kind": "fuzz", "cases": 2, "atack_rate": 0.5},
+    @pytest.mark.parametrize("grid, message", [
+        ({"a": 1}, "unknown key"),
+        ({"kind": "bench", "scale": "smoke", "operatons": 20},
+         "unknown key"),
+        ({"kind": "bench", "scale": "smoke", "schemes": ["nope"]},
+         "unknown scheme"),
+        ({"kind": "bench", "scale": "smoke", "workloads": ["nope"]},
+         "unknown workload"),
+        ({"kind": "fuzz", "cases": 2, "atack_rate": 0.5}, "unknown key"),
+        ({"kind": "bench", "scale": "smoke", "operations": "many"},
+         "operations must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "operations": 2.5},
+         "operations must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "operations": True},
+         "operations must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "seed": "x"},
+         "seed must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "seed": 1.5},
+         "seed must be an integer"),
+        ({"kind": "bench", "scale": "smoke",
+          "axes": {"adr_bitmap_lines": "x"}}, "must be a list"),
+        ({"kind": "bench", "scale": "smoke",
+          "axes": {"adr_bitmap_lines": [4, 2.5]}},
+         "adr_bitmap_lines must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "bitmap_fanout": "x"},
+         "bitmap_fanout must be an integer"),
+        ({"kind": "bench", "scale": "smoke", "workloads": "hash"},
+         "workloads must be a list"),
+        ({"kind": "bench", "scale": "smoke", "schemes": "star"},
+         "schemes must be a list"),
+        ({"kind": "fuzz", "cases": "x"}, "cases must be an integer"),
+        ({"kind": "fuzz", "cases": 2, "seed": 1.5},
+         "seed must be an integer"),
+        ({"kind": "fuzz", "cases": 2, "max_operations": "x"},
+         "max_operations must be an integer"),
+        ({"kind": "fuzz", "cases": 2, "attack_rate": "x"},
+         "attack rate must be within"),
     ], ids=["unread-key", "misspelt-key", "unknown-scheme",
-            "unknown-workload", "fuzz-misspelt-key"])
+            "unknown-workload", "fuzz-misspelt-key",
+            "operations-str", "operations-float", "operations-bool",
+            "seed-str", "seed-float", "axis-str", "axis-float",
+            "fanout-str", "workloads-str", "schemes-str",
+            "fuzz-cases-str", "fuzz-seed-float", "fuzz-max-ops-str",
+            "fuzz-attack-rate-str"])
     def test_bad_grid_exits_2_before_any_cell_runs(
-            self, grid, tmp_path, capsys):
+            self, grid, message, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
         store_dir = tmp_path / "lab"
@@ -304,6 +340,7 @@ class TestUsageErrors:
                        "--store", str(store_dir), "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("star-lab: grid 'grid': ")
+        assert message in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not store_dir.exists()
 

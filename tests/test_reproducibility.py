@@ -29,11 +29,11 @@ from repro.bench.runner import config_for_scale, run_one
 from repro.config import small_config
 from repro.crypto.hashing import keyed_hash
 from repro.fuzz import CampaignSpec, sample_cases
-from repro.fuzz.executor import campaign_config, materialize_trace
+from repro.fuzz.executor import campaign_config
 from repro.obs.export import telemetry_snapshot
 from repro.sim.machine import Machine
 from repro.workloads.capture import format_op
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import TraceSpec, make_workload
 
 SMOKE_GRID = Path(__file__).resolve().parent.parent / "grids" / "ci_smoke.json"
 
@@ -208,7 +208,8 @@ def test_fuzz_sample_outputs_are_frozen(case):
     """Fuzz cases cut at their crash index; every scheme but ``wb``
     crashes and recovers."""
     config = campaign_config()
-    trace = materialize_trace(case, config)
+    trace = list(TraceSpec(case.workload, config.num_data_lines,
+                           case.operations, case.seed).ops())
     ops = trace[: case.crash_index(len(trace))]
     actual = machine_digest(config, case.scheme, ops,
                             crash=(case.scheme != "wb"))

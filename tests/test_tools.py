@@ -186,3 +186,40 @@ def test_out_of_range_size_is_a_usage_error(tool, flag, value, tmp_path,
     assert "argument %s: must be at least" % flag in err
     assert "Traceback" not in err
     assert not (tmp_path / "never.trace").exists()
+
+
+# ----------------------------------------------------------------------
+# inputs that parse but cannot run are refused before any simulation
+# ----------------------------------------------------------------------
+UNRUNNABLE = [
+    # (tool, args, the flag the one-line message names)
+    ("star-run", ["--threads", "64", "--memory-mb", "1"], "--memory-mb"),
+    ("star-trace", ["--threads", "64", "--lines", "100"], "--lines"),
+    ("star-trace", ["--lines", "10"], "--lines"),
+    ("star-run", ["--scheme", "wb", "--crash"], "--crash"),
+    ("star-stats", ["--scheme", "wb"], "--crash"),
+]
+
+
+@pytest.mark.parametrize(
+    "tool, args, flag", UNRUNNABLE,
+    ids=["%s%s" % (tool, "".join(args)) for tool, args, _ in UNRUNNABLE],
+)
+def test_unrunnable_input_is_a_usage_error(tool, args, flag, tmp_path,
+                                           monkeypatch,
+                                           assert_usage_error):
+    from repro.tools import run, stats
+
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("a machine was built for unrunnable input")
+
+    for module in (run, stats):
+        monkeypatch.setattr(module, "Machine", no_simulation)
+    main, prefix = TOOLS[tool]
+    outputs = {"star-trace": ["-o", str(tmp_path / "never.trace")],
+               "star-stats": ["--json", str(tmp_path / "never.json")]}
+    err = assert_usage_error(main(prefix + args + outputs.get(tool, [])),
+                             tool, flag)
+    assert list(tmp_path.iterdir()) == []
+    if tool == "star-stats":
+        assert "--no-crash" in err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.characterize import characterize
 from repro.errors import AllocationError
 from repro.workloads import (
     ALL_WORKLOADS,
@@ -10,9 +11,7 @@ from repro.workloads import (
     Op,
     OpKind,
     PersistentHeap,
-    TraceBuilder,
     ZipfianSampler,
-    count_kinds,
     make_workload,
 )
 from repro.workloads.btree import BTreeWorkload
@@ -44,22 +43,7 @@ class TestHeap:
 
 
 class TestTraceBuilder:
-    def test_emits_in_order(self):
-        builder = TraceBuilder()
-        builder.read(1)
-        builder.write(2)
-        builder.persist()
-        kinds = [op.kind for op in builder.ops()]
-        assert kinds == [OpKind.READ, OpKind.WRITE, OpKind.PERSIST]
-
-    def test_count_kinds(self):
-        builder = TraceBuilder()
-        builder.read(1)
-        builder.read(2)
-        builder.write(3)
-        counts = count_kinds(builder.ops())
-        assert counts[OpKind.READ] == 2
-        assert counts[OpKind.WRITE] == 1
+    """Trace-record checks (the class name keeps the test's ID)."""
 
     def test_op_validation(self):
         with pytest.raises(ValueError):
@@ -109,11 +93,11 @@ class TestAllWorkloadsCommon:
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_contains_persists_and_writes(self, name):
-        counts = count_kinds(
+        stats = characterize(
             make_workload(name, LINES, operations=80).ops()
         )
-        assert counts[OpKind.WRITE] > 0
-        assert counts[OpKind.PERSIST] > 0
+        assert stats["writes"] > 0
+        assert stats["persists"] > 0
 
 
 class TestBTree:
@@ -215,5 +199,4 @@ class TestTpcc:
 
     def test_one_persist_per_transaction(self):
         workload = make_workload("tpcc", LINES, operations=25)
-        counts = count_kinds(workload.ops())
-        assert counts[OpKind.PERSIST] == 25
+        assert characterize(workload.ops())["persists"] == 25
