@@ -85,7 +85,8 @@ class CacheConfig:
         )
         _require(
             _is_power_of_two(self.num_sets),
-            "number of cache sets must be a power of two",
+            "number of cache sets must be a power of two, got %d"
+            % self.num_sets,
         )
 
     @property

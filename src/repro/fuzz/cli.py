@@ -46,6 +46,7 @@ from repro.fuzz.minimize import (
 )
 from repro.fuzz.sampling import CampaignSpec
 from repro.schemes import SIT_SCHEMES
+from repro.tools import int_at_least
 from repro.workloads.registry import ALL_WORKLOADS
 
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="sample and execute a fuzzing campaign"
     )
     run.add_argument("--cases", type=int, default=48)
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=int_at_least(1), default=1,
                      help="parallel worker processes (spawn)")
     run.add_argument("--seed", type=int, default=0,
                      help="campaign seed; every case derives from it")
@@ -90,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "runtime write sanitizers on top of the "
                           "oracle stack (repro.sim.sanitize)")
     run.add_argument("--telemetry", metavar="DIR", default=None,
-                     help="publish per-worker heartbeat/metric "
-                          "snapshots into DIR for star-top "
+                     help="publish the campaign's heartbeat/metric "
+                          "snapshot into DIR for star-top "
                           "(repro.obs.live)")
     run.add_argument("--heartbeat-interval", type=float, default=1.0,
                      metavar="SECONDS",
                      help="min seconds between heartbeat publications "
-                          "per worker (default 1.0; 0 = every case)")
+                          "(default 1.0; 0 = every case)")
     run.add_argument("--quiet", action="store_true")
 
     replay = commands.add_parser(

@@ -220,57 +220,11 @@ def _execute(machine: Machine, case: FuzzCase, ops: Sequence[Op],
 # ----------------------------------------------------------------------
 # the parallel campaign driver
 # ----------------------------------------------------------------------
-_WORKER_TELEMETRY: Optional[Dict] = None
-"""Per-process live-telemetry state (worker stats + heartbeat writer),
-created lazily on the first case a pool worker executes."""
-
-
-def _worker_telemetry(telemetry) -> Optional[Dict]:
-    global _WORKER_TELEMETRY
-    if telemetry is None:
-        return None
-    if _WORKER_TELEMETRY is None:
-        from repro.lab.clock import Clock
-        from repro.obs.live import HeartbeatWriter
-
-        directory, interval_s = telemetry
-        worker = multiprocessing.current_process().name
-        stats = Stats()
-        _WORKER_TELEMETRY = {
-            "stats": stats,
-            "cases": 0,
-            "writer": HeartbeatWriter(
-                directory, worker, clock=Clock(),
-                interval_s=interval_s, stats=stats,
-            ),
-        }
-    return _WORKER_TELEMETRY
-
-
-def _ship_heartbeat(telemetry, result: "CaseResult") -> None:
-    """Count one finished case into this worker's registry and
-    publish a (throttled) snapshot; failures always force a beat."""
-    state = _worker_telemetry(telemetry)
-    if state is None:
-        return
-    stats = state["stats"]
-    _count(stats, result)
-    state["cases"] += 1
-    state["writer"].write(
-        registry=stats.registry,
-        progress={"cases": state["cases"],
-                  "last_case": result.case.case_id},
-        force=result.failed,
-    )
-
-
 def _campaign_worker(payload) -> Dict:
     """Top-level (picklable) pool entry point."""
-    case_dict, defect, sanitize, telemetry = payload
+    case_dict, defect, sanitize = payload
     case = FuzzCase.from_dict(case_dict)
-    result = run_case(case, defect=defect, sanitize=sanitize)
-    _ship_heartbeat(telemetry, result)
-    return result.to_dict()
+    return run_case(case, defect=defect, sanitize=sanitize).to_dict()
 
 
 @dataclass
@@ -309,28 +263,40 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1,
                  heartbeat_interval_s: float = 1.0) -> CampaignResult:
     """Run every sampled case, serially or across a process pool.
 
-    ``telemetry_dir`` opts into the live plane: every executing process
-    (pool workers, or this process when serial) publishes heartbeat +
-    metric snapshots there for ``star-top`` — see
+    ``telemetry_dir`` opts into the live plane: this process, which
+    counts every finished case, publishes the campaign's one heartbeat
+    + metric snapshot there for ``star-top`` — see
     :mod:`repro.obs.live`. Heartbeats never influence results.
     """
-    global _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = None  # fresh serial-mode state per campaign
-    telemetry = None
-    if telemetry_dir is not None:
-        telemetry = (str(telemetry_dir), heartbeat_interval_s)
     cases = sample_cases(spec)
     payloads = [
-        (case.to_dict(), spec.defect, sanitize, telemetry)
-        for case in cases
+        (case.to_dict(), spec.defect, sanitize) for case in cases
     ]
     stats = Stats()
     results: List[CaseResult] = []
+    beat = None
+    if telemetry_dir is not None:
+        from repro.lab.clock import Clock
+        from repro.obs.live import HeartbeatWriter
+
+        # no stats for the writer: its live.* counter would land in the
+        # campaign's counters, which the corpus summary records
+        beat = HeartbeatWriter(telemetry_dir, "coordinator",
+                               clock=Clock(),
+                               interval_s=heartbeat_interval_s)
+
+    def publish(force: bool) -> None:
+        if beat is not None:
+            beat.write(registry=stats.registry,
+                       progress={"cases": len(results),
+                                 "last_case": results[-1].case.case_id},
+                       force=force)
 
     def consume(payload: Dict) -> None:
         result = CaseResult.from_dict(payload)
         results.append(result)
         _count(stats, result)
+        publish(force=result.failed)  # failures always force a beat
         if progress is not None:
             progress(result)
 
@@ -344,6 +310,8 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1,
                 _campaign_worker, payloads, chunksize=1
             ):
                 consume(payload)
+    if results:
+        publish(force=True)  # the final counts, past the throttle
     results.sort(key=lambda result: result.case.index)
     return CampaignResult(spec=spec, results=results, stats=stats)
 

@@ -14,8 +14,8 @@ cache-hitting campaigns:
 * :mod:`repro.lab.gridfile` — grid files re-expressing the paper's
   sweeps (Figs. 10-14, Table II) as campaigns,
 * :mod:`repro.lab.lease` / :mod:`repro.lab.farm` — the one campaign
-  engine: a SQLite lease board with fencing tokens and backoff
-  requeue, a :class:`Coordinator` that seeds and journals it, and
+  engine: a SQLite lease board with fencing tokens and the one retry
+  policy, a :class:`Coordinator` that seeds and journals it, and
   work-stealing :class:`Worker` pools. :func:`run_local`
   (``star-lab run``/``resume``) puts a coordinator and one pool on an
   in-memory board; a farm (``star-lab serve`` + ``star-lab work``)

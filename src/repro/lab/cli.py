@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.tables import ExperimentTable, render_table
 from repro.errors import ConfigError, ReproError
 from repro.lab import gridfile
-from repro.lab.clock import BACKOFF_POLICIES, BackoffPolicy, Clock
+from repro.lab.clock import Clock
 from repro.lab.farm import Coordinator, Worker, board_path, run_local
 from repro.lab.lease import LeaseBoard
 from repro.lab.net.server import LeaseServer
@@ -60,7 +60,7 @@ from repro.lab.scheduler import (
 )
 from repro.lab.spec import RunSpec
 from repro.lab.store import ResultStore
-from repro.tools import int_at_least, output_error
+from repro.tools import int_at_least, output_error, positive_float
 from repro.util.stats import Stats
 
 EXIT_OK = 0
@@ -91,12 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                           % ", ".join(sorted(gridfile.BUILTIN_GRIDS)))
     run.add_argument("--jobs", type=int_at_least(1), default=1,
                      help="worker shards (spawn processes when > 1)")
-    run.add_argument("--timeout", type=float, default=None,
+    run.add_argument("--timeout", type=positive_float, default=None,
                      metavar="SECONDS",
                      help="per-cell timeout (needs --jobs > 1)")
-    run.add_argument("--retries", type=int_at_least(0), default=2,
-                     help="retry budget per cell (default 2)")
-    _add_backoff(run)
     run.add_argument("--max-cells", type=int_at_least(1),
                      default=None,
                      help="compute at most N cells this invocation "
@@ -126,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="journal to resume (unique id prefix); "
                              "default: the only unfinished campaign")
     resume.add_argument("--jobs", type=int_at_least(1), default=1)
-    resume.add_argument("--timeout", type=float, default=None)
-    resume.add_argument("--retries", type=int_at_least(0), default=2)
-    _add_backoff(resume)
+    resume.add_argument("--timeout", type=positive_float, default=None,
+                        metavar="SECONDS")
     resume.add_argument("--max-cells", type=int_at_least(1),
                         default=None)
     _add_telemetry(resume)
@@ -167,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--farm", default=None, metavar="DIR",
                        help="shared farm directory "
                             "(default: <store>/farm)")
-    serve.add_argument("--lease", type=float, default=60.0,
-                       metavar="SECONDS",
-                       help="lease duration workers must renew within "
-                            "(default 60)")
     serve.add_argument("--poll", type=float, default=0.5,
                        metavar="SECONDS",
                        help="board poll interval (default 0.5)")
@@ -212,18 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--jobs", type=int_at_least(1), default=1,
                       help="execution shards within this pool; one "
                            "lease is claimed per free shard")
-    work.add_argument("--timeout", type=float, default=None,
+    work.add_argument("--timeout", type=positive_float, default=None,
                       metavar="SECONDS",
                       help="per-cell timeout (needs --jobs > 1)")
-    _add_backoff(work)
     work.add_argument("--lease", type=float, default=60.0,
                       metavar="SECONDS",
                       help="lease duration to claim for (default 60; "
                            "must cover a cell + renewal slack)")
-    work.add_argument("--max-attempts", type=int_at_least(1),
-                      default=3,
-                      help="cross-worker attempts before a cell is "
-                           "failed terminally (default 3)")
     work.add_argument("--poll", type=float, default=0.2,
                       metavar="SECONDS",
                       help="idle claim poll floor (default 0.2)")
@@ -243,29 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--farm", default=None, metavar="DIR",
                        help="farm directory (default: <store>/farm)")
     return parser
-
-
-def _add_backoff(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--backoff", type=float, default=0.5,
-                     metavar="SECONDS",
-                     help="retry backoff base (default 0.5)")
-    sub.add_argument("--backoff-policy", choices=BACKOFF_POLICIES,
-                     default="linear",
-                     help="retry delay schedule: linear waits "
-                          "base*attempt, exponential doubles from "
-                          "base (default linear)")
-    sub.add_argument("--backoff-cap", type=float, default=30.0,
-                     metavar="SECONDS",
-                     help="ceiling on any single retry delay "
-                          "(default 30)")
-
-
-def _backoff_policy(args: argparse.Namespace) -> BackoffPolicy:
-    return BackoffPolicy(
-        getattr(args, "backoff_policy", "linear"),
-        base_s=getattr(args, "backoff", 0.5),
-        cap_s=getattr(args, "backoff_cap", 30.0),
-    )
 
 
 def _add_telemetry(sub: argparse.ArgumentParser) -> None:
@@ -324,8 +288,7 @@ def _run_specs(args: argparse.Namespace, specs: List[RunSpec],
                          else Path(args.telemetry))
     report = run_local(
         store, specs, name=name, jobs=args.jobs,
-        timeout_s=args.timeout, retries=args.retries,
-        backoff=_backoff_policy(args), max_cells=args.max_cells,
+        timeout_s=args.timeout, max_cells=args.max_cells,
         stats=stats, telemetry=telemetry_dir,
         heartbeat_interval_s=getattr(args, "heartbeat_interval", 1.0),
     )
@@ -505,8 +468,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not args.quiet:
             print("star-lab serve: lease transport on %s" % server.url)
     coordinator = Coordinator(
-        store, farm, stats=stats, lease_s=args.lease,
-        poll_interval_s=args.poll,
+        store, farm, stats=stats, poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
         transport_meta=transport_meta,
     )
@@ -543,8 +505,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
         return 2
     worker = Worker(
         base, worker_id, jobs=args.jobs, lease_s=args.lease,
-        timeout_s=args.timeout, backoff=_backoff_policy(args),
-        max_attempts=args.max_attempts, poll_interval_s=args.poll,
+        timeout_s=args.timeout, poll_interval_s=args.poll,
         heartbeat_interval_s=args.heartbeat_interval,
         wait_s=args.wait,
         coordinator=args.coordinator,

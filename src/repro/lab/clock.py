@@ -14,10 +14,10 @@ single place the lab package touches real time:
   a real ``sleep``),
 * :class:`FakeClock` — a manually-advanced test double whose ``sleep``
   returns instantly, so timeout/backoff tests run in microseconds,
-* :class:`BackoffPolicy` — the pure delay schedule (linear or capped
-  exponential) that every retry wait in the lab derives from. The
-  policy only *computes* delays; waiting them out always goes through
-  a ``Clock`` instance, so FakeClock tests stay deterministic.
+* :class:`BackoffPolicy` — the pure, capped exponential delay
+  schedule that every retry wait in the lab derives from. The policy
+  only *computes* delays; waiting them out always goes through a
+  ``Clock`` instance, so FakeClock tests stay deterministic.
 
 Everything else in ``repro.lab`` receives a clock instance; nothing
 else may import :mod:`time`.
@@ -30,30 +30,22 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-BACKOFF_POLICIES = ("linear", "exponential")
-
 
 @dataclass(frozen=True)
 class BackoffPolicy:
     """A retry delay schedule: attempt number in, seconds out.
 
-    ``linear`` waits ``base_s * attempt`` (the lab's historical
-    behaviour); ``exponential`` waits ``base_s * 2**(attempt-1)``.
-    Both are capped at ``cap_s`` so a long retry chain cannot grow an
-    unbounded sleep. Shared by the lease board's retry requeues and
-    the workers' idle re-claim pacing (:mod:`repro.lab.farm`).
+    Retry ``attempt`` waits ``base_s * 2**(attempt-1)``, capped at
+    ``cap_s`` so a long retry chain cannot grow an unbounded sleep.
+    Shared by the lease board's retry requeues
+    (:mod:`repro.lab.lease`), the workers' idle re-claim pacing
+    (:mod:`repro.lab.farm`) and the HTTP client's request retries.
     """
 
-    policy: str = "linear"
     base_s: float = 0.5
     cap_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.policy not in BACKOFF_POLICIES:
-            raise ConfigError(
-                "unknown backoff policy %r (choose from %s)"
-                % (self.policy, ", ".join(BACKOFF_POLICIES))
-            )
         if self.base_s < 0 or self.cap_s < 0:
             raise ConfigError("backoff base/cap must be >= 0")
 
@@ -61,11 +53,10 @@ class BackoffPolicy:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         if attempt <= 0:
             return 0.0
-        if self.policy == "exponential":
-            raw = self.base_s * (2.0 ** (attempt - 1))
-        else:
-            raw = self.base_s * attempt
-        return min(raw, self.cap_s)
+        # 2.0 ** 1024 raises OverflowError: an idle worker counts
+        # attempts without bound, and the cap is reached long before
+        doublings = min(attempt - 1, 1023)
+        return min(self.base_s * 2.0 ** doublings, self.cap_s)
 
 
 class Clock:

@@ -12,9 +12,11 @@ Every campaign in ``repro.lab`` runs here, with one topology:
   :class:`~repro.lab.scheduler.Scheduler` (→ :mod:`repro.lab.executor`)
   and settle it on the board as soon as it finishes, under the
   lease's fencing token. A failed cell goes back to the board, whose
-  ``max_attempts`` and backoff are the one retry budget. A worker that
-  dies (SIGKILL, host loss, partition) simply stops renewing — once
-  its deadlines pass, the surviving workers steal its cells.
+  fixed retry policy (:data:`~repro.lab.lease.MAX_ATTEMPTS` attempts,
+  requeued after :data:`~repro.lab.lease.REQUEUE_BACKOFF`) is the one
+  retry budget. A worker that dies (SIGKILL, host loss, partition)
+  simply stops renewing — once its deadlines pass, the surviving
+  workers steal its cells.
 
 Two deployments share that code:
 
@@ -156,7 +158,6 @@ class Coordinator:
                  farm_dir: Optional[PathLike],
                  clock: Optional[Clock] = None,
                  stats: Optional[Stats] = None,
-                 lease_s: float = 60.0,
                  poll_interval_s: float = 0.5,
                  heartbeat_interval_s: float = 1.0,
                  telemetry: Union[bool, PathLike] = True,
@@ -166,7 +167,6 @@ class Coordinator:
         self.farm_dir = Path(farm_dir) if farm_dir is not None else None
         self.clock = clock if clock is not None else Clock()
         self.stats = stats if stats is not None else store.stats
-        self.lease_s = lease_s
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
         if telemetry is True:
@@ -256,7 +256,6 @@ class Coordinator:
             "campaign_id": self._cid,
             "name": self._name,
             "cells": len(self._specs),
-            "lease_s": self.lease_s,
             "transport": (dict(self.transport_meta)
                           if self.transport_meta is not None
                           else {"kind": "file",
@@ -405,13 +404,12 @@ class Worker:
     slow cell never holds up its peers. Leases still running are
     renewed at most once every quarter lease, whenever a shard asks
     for its next cell. The scheduler does not retry: a failed
-    execution goes back to the board, whose ``max_attempts`` — backed
-    off by ``backoff`` — is the one retry budget. Results land in
-    the worker's own store, which holds only blobs and their index:
-    the campaign journal is the coordinator's. Completion is reported
-    under the lease fence, so a worker that outlived its lease
-    discards the completion (not the result — the merge path dedups
-    identical payloads).
+    execution goes back to the board, whose fixed policy is the one
+    retry budget. Results land in the worker's own store, which holds
+    only blobs and their index: the campaign journal is the
+    coordinator's. Completion is reported under the lease fence, so a
+    worker that outlived its lease discards the completion (not the
+    result — the merge path dedups identical payloads).
 
     When nothing is claimable and no cell of its own is running, the
     worker idles under an exponential backoff from ``poll_interval_s``
@@ -437,8 +435,6 @@ class Worker:
                  jobs: int = 1,
                  lease_s: float = 60.0,
                  timeout_s: Optional[float] = None,
-                 backoff: Optional[BackoffPolicy] = None,
-                 max_attempts: int = 3,
                  poll_interval_s: float = 0.2,
                  heartbeat_interval_s: float = 1.0,
                  telemetry: bool = True,
@@ -467,12 +463,9 @@ class Worker:
             )
         self.store = store
         self.lease_s = lease_s
-        self.backoff = backoff or BackoffPolicy()
         self.idle_backoff = BackoffPolicy(
-            "exponential", base_s=poll_interval_s,
-            cap_s=max(1.0, lease_s / 4),
+            base_s=poll_interval_s, cap_s=max(1.0, lease_s / 4),
         )
-        self.max_attempts = max_attempts
         self.poll_interval_s = poll_interval_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.telemetry = telemetry
@@ -563,11 +556,8 @@ class Worker:
                 if self._ship(board, lease):
                     self._complete(board, lease)
             else:
-                outcome = board.fail(
-                    self.worker_id, lease.spec_hash, lease.fence,
-                    error, max_attempts=self.max_attempts,
-                    backoff=self.backoff,
-                )
+                outcome = board.fail(self.worker_id, lease.spec_hash,
+                                     lease.fence, error)
                 if outcome == "failed":
                     self.failed += 1
                     self.stats.add("lab.farm.cells_failed")
@@ -637,7 +627,7 @@ class Worker:
                     yield None  # ask again once one of ours settles
                     continue
                 # peers hold every remaining cell, or a failed one is
-                # backing off; pace re-claims with the backoff policy
+                # backing off; pace re-claims with the idle backoff
                 # (a peer's lease may expire — the stealing path)
                 idle_attempts += 1
                 if beat is not None:
@@ -720,8 +710,7 @@ class Worker:
 # ----------------------------------------------------------------------
 def run_local(store: ResultStore, specs: List[RunSpec],
               name: str = "campaign", jobs: int = 1,
-              timeout_s: Optional[float] = None, retries: int = 2,
-              backoff: Optional[BackoffPolicy] = None,
+              timeout_s: Optional[float] = None,
               max_cells: Optional[int] = None,
               clock: Optional[Clock] = None,
               stats: Optional[Stats] = None,
@@ -734,13 +723,14 @@ def run_local(store: ResultStore, specs: List[RunSpec],
     in-memory lease board, seeded from ``specs`` and settled from the
     store, so only unstored cells run — a failed cell included, since
     nothing but the store outlives the invocation. The worker writes
-    straight into ``store``; a cell runs at most ``retries + 1`` times,
-    requeued after the ``backoff`` delay. ``max_cells`` bounds how many
-    cells this invocation claims (cached cells are free) — the
-    controlled-interruption knob. The coordinator journals the
-    campaign and checkpoints it after every settled cell, and is the
-    one heartbeat writer when ``telemetry`` names a directory. Ctrl-C
-    drains, twice aborts; the campaign then reports interrupted.
+    straight into ``store``, and the board's fixed policy retries a
+    failed cell (:data:`~repro.lab.lease.MAX_ATTEMPTS` runs at most).
+    ``max_cells`` bounds how many cells this invocation claims (cached
+    cells are free) — the controlled-interruption knob. The
+    coordinator journals the campaign and checkpoints it after every
+    settled cell, and is the one heartbeat writer when ``telemetry``
+    names a directory. Ctrl-C drains, twice aborts; the campaign then
+    reports interrupted.
     """
     clock = clock if clock is not None else Clock()
     stats = stats if stats is not None else store.stats
@@ -752,8 +742,7 @@ def run_local(store: ResultStore, specs: List[RunSpec],
     )
     worker = Worker(
         store.root, "local", store=store, clock=clock, stats=stats,
-        jobs=jobs, timeout_s=timeout_s, backoff=backoff,
-        max_attempts=retries + 1, telemetry=False, runner=runner,
+        jobs=jobs, timeout_s=timeout_s, telemetry=False, runner=runner,
         max_cells=max_cells, board=coordinator.board,
         on_settle=coordinator.watch,
     )

@@ -23,10 +23,13 @@ for who owns which cell:
   spec, so the merge path converges regardless of which owner's copy
   ships.
 
-``deadline`` doubles as a *not-claimable-before* stamp for ``pending``
-rows, which is how failed cells re-enter the queue under a
-:class:`~repro.lab.clock.BackoffPolicy` delay without a separate
-column or a sleeping coordinator.
+The board alone owns the retry policy, whichever worker or transport
+reports a failure: a cell's :data:`MAX_ATTEMPTS`-th failed execution
+is terminal, and each earlier one requeues it after the
+:data:`REQUEUE_BACKOFF` delay (0.5 s, then 1.0 s). ``deadline``
+doubles as a *not-claimable-before* stamp for ``pending`` rows, which
+is how failed cells re-enter the queue without a separate column or a
+sleeping coordinator.
 
 All timestamps are epoch seconds through the injected
 :class:`~repro.lab.clock.Clock` (``clock.wall()`` — the same
@@ -52,6 +55,13 @@ from repro.lab.spec import RunSpec, canonical_json
 PathLike = Union[str, Path]
 
 STATES = ("pending", "leased", "done", "failed")
+
+MAX_ATTEMPTS = 3
+"""Failed executions after which a cell is terminally ``failed``."""
+
+REQUEUE_BACKOFF = BackoffPolicy(base_s=0.5, cap_s=30.0)
+"""How long a failed cell waits before it is claimable again, by
+failed attempt: 0.5 s after the first, 1.0 s after the second."""
 
 _TABLE_SQL = """
 CREATE TABLE IF NOT EXISTS leases (
@@ -283,20 +293,17 @@ class LeaseBoard:
             "state = 'done'", (), owner, spec_hash, fence,
         )
 
-    def fail(self, owner: str, spec_hash: str, fence: int, error: str,
-             max_attempts: int = 3,
-             backoff: Optional[BackoffPolicy] = None) -> str:
+    def fail(self, owner: str, spec_hash: str, fence: int,
+             error: str) -> str:
         """Record a failed execution attempt on a held cell.
 
         Returns ``"requeued"`` (back to ``pending``, claimable after
-        the policy's backoff delay — by *any* worker, so a cell that
-        fails on a sick host can succeed on a healthy one),
-        ``"failed"`` (attempt budget exhausted; terminal), or
-        ``"stale"`` (fence mismatch: this owner no longer holds the
+        the :data:`REQUEUE_BACKOFF` delay — by *any* worker, so a cell
+        that fails on a sick host can succeed on a healthy one),
+        ``"failed"`` (the :data:`MAX_ATTEMPTS`-th failure; terminal),
+        or ``"stale"`` (fence mismatch: this owner no longer holds the
         cell, nothing recorded).
         """
-        if backoff is None:
-            backoff = BackoffPolicy()
         self._begin()
         try:
             row = self._conn.execute(
@@ -308,7 +315,7 @@ class LeaseBoard:
                 self._conn.execute("COMMIT")
                 return "stale"
             attempts = row[0] + 1
-            if attempts >= max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 self._conn.execute(
                     "UPDATE leases SET state = 'failed', attempts = ?,"
                     " error = ? WHERE spec_hash = ?",
@@ -321,7 +328,7 @@ class LeaseBoard:
                     " attempts = ?, error = ?, deadline = ? "
                     "WHERE spec_hash = ?",
                     (attempts, error,
-                     self.clock.wall() + backoff.delay(attempts),
+                     self.clock.wall() + REQUEUE_BACKOFF.delay(attempts),
                      spec_hash),
                 )
                 outcome = "requeued"

@@ -38,11 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.lab.clock import BackoffPolicy, Clock
 from repro.lab.lease import Lease
-from repro.lab.net.transport import (
-    TransportError,
-    backoff_to_wire,
-    lease_from_wire,
-)
+from repro.lab.net.transport import TransportError, lease_from_wire
 from repro.lab.spec import RunSpec
 from repro.util.stats import Stats
 
@@ -61,9 +57,8 @@ class HttpLeaseClient:
         self.retries = retries
         # defaults bridge a coordinator restart of a few seconds:
         # 0.2 + 0.4 + 0.8 + 1.6 + 3.2 ≈ 6s of patience
-        self.backoff = backoff if backoff is not None else BackoffPolicy(
-            policy="exponential", base_s=0.2, cap_s=5.0,
-        )
+        self.backoff = (backoff if backoff is not None
+                        else BackoffPolicy(base_s=0.2, cap_s=5.0))
 
     # ------------------------------------------------------------------
     # the LeaseTransport surface
@@ -93,13 +88,11 @@ class HttpLeaseClient:
         })
         return bool(data["ok"])
 
-    def fail(self, owner: str, spec_hash: str, fence: int, error: str,
-             max_attempts: int = 3,
-             backoff: Optional[BackoffPolicy] = None) -> str:
+    def fail(self, owner: str, spec_hash: str, fence: int,
+             error: str) -> str:
         data = self._verb("fail", {
             "owner": owner, "spec_hash": spec_hash, "fence": fence,
-            "error": error, "max_attempts": max_attempts,
-            "backoff": backoff_to_wire(backoff),
+            "error": error,
         })
         return str(data["outcome"])
 

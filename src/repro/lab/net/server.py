@@ -41,7 +41,7 @@ from typing import Callable, ClassVar, Dict, Optional
 
 from repro.errors import ReproError
 from repro.lab.lease import LeaseBoard
-from repro.lab.net.transport import backoff_from_wire, lease_to_wire
+from repro.lab.net.transport import lease_to_wire
 from repro.lab.spec import RunSpec
 from repro.lab.store import ExportSource, ResultStore
 from repro.util.stats import Stats
@@ -201,8 +201,6 @@ class LeaseServer:
         outcome = self.board.fail(
             str(payload["owner"]), str(payload["spec_hash"]),
             int(payload["fence"]), str(payload["error"]),
-            max_attempts=int(payload.get("max_attempts", 3)),
-            backoff=backoff_from_wire(payload.get("backoff")),
         )
         if outcome == "stale":
             self.stats.add("lab.net.rejects")

@@ -10,17 +10,15 @@ always local.
 
 The wire helpers here define the one serialization both ends share:
 a :class:`~repro.lab.lease.Lease` travels as its spec dict plus the
-fencing credentials, and a :class:`~repro.lab.clock.BackoffPolicy`
-as its three fields. Keeping (de)hydration in one module means a
+fencing credentials. Keeping (de)hydration in one module means a
 wire-format change cannot drift between client and server.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from repro.errors import ReproError
-from repro.lab.clock import BackoffPolicy
 from repro.lab.lease import Lease
 from repro.lab.spec import RunSpec
 
@@ -41,9 +39,9 @@ class LeaseTransport(Protocol):
 
     The SQLite :class:`~repro.lab.lease.LeaseBoard` satisfies this
     directly; :class:`~repro.lab.net.client.HttpLeaseClient` satisfies
-    it over the wire. Verb semantics (fencing, steal detection, backoff
-    requeue) are defined once by the board — a transport only moves the
-    arguments and results.
+    it over the wire. Verb semantics (fencing, steal detection, the
+    retry policy) are defined once by the board — a transport only
+    moves the arguments and results.
     """
 
     def claim(self, owner: str, lease_s: float,
@@ -57,9 +55,8 @@ class LeaseTransport(Protocol):
     def complete(self, owner: str, spec_hash: str, fence: int) -> bool:
         ...
 
-    def fail(self, owner: str, spec_hash: str, fence: int, error: str,
-             max_attempts: int = 3,
-             backoff: Optional[BackoffPolicy] = None) -> str:
+    def fail(self, owner: str, spec_hash: str, fence: int,
+             error: str) -> str:
         ...
 
     def counts(self) -> Dict[str, int]:
@@ -98,23 +95,3 @@ def lease_from_wire(payload: Dict) -> Lease:
         attempts=int(payload.get("attempts", 0)),
     )
 
-
-def backoff_to_wire(policy: Optional[BackoffPolicy]) -> Optional[Dict]:
-    if policy is None:
-        return None
-    return {
-        "policy": policy.policy,
-        "base_s": policy.base_s,
-        "cap_s": policy.cap_s,
-    }
-
-
-def backoff_from_wire(payload: Optional[Dict]
-                      ) -> Optional[BackoffPolicy]:
-    if payload is None:
-        return None
-    return BackoffPolicy(
-        policy=str(payload["policy"]),
-        base_s=float(payload["base_s"]),
-        cap_s=float(payload["cap_s"]),
-    )

@@ -15,8 +15,8 @@ scheduling property.
 The loop's robustness machinery:
 
 * per-job timeout — a stuck worker process is terminated and the cell
-  reported failed (the board decides whether it runs again, after the
-  :class:`~repro.lab.clock.BackoffPolicy` delay),
+  reported failed (the board's fixed retry policy decides whether and
+  when it runs again),
 * graceful SIGINT draining — the first Ctrl-C stops taking cells and
   lets in-flight cells finish and report; the second kills them.
 

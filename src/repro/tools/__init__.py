@@ -34,6 +34,21 @@ def int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def positive_float(text: str) -> float:
+    """An argparse ``type=`` for a duration that must be above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid float value: %r" % text
+        ) from None
+    if not value > 0:  # NaN too
+        raise argparse.ArgumentTypeError(
+            "must be positive, got %s" % text
+        )
+    return value
+
+
 def path_error(prog: str, path: str,
                reason: Union[str, Exception]) -> int:
     """Report an unusable input or output path as one stderr line,

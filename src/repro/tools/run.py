@@ -66,10 +66,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return path_error("star-run", "--crash",
                           "scheme %s cannot recover; run it without "
                           "--crash" % args.scheme)
-    config = sim_config(
-        memory_bytes=args.memory_mb * 1024 ** 2,
-        metadata_cache_bytes=args.cache_kb * 1024,
-    )
+    try:
+        config = sim_config(
+            memory_bytes=args.memory_mb * 1024 ** 2,
+            metadata_cache_bytes=args.cache_kb * 1024,
+        )
+    except ConfigError as exc:  # every --memory-mb builds
+        return path_error("star-run", "--cache-kb", exc)
     if args.trace:
         try:
             ops = list(load_trace(args.trace))

@@ -88,10 +88,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return path_error("star-stats", "--crash",
                           "scheme %s cannot recover; pass --no-crash"
                           % args.scheme)
-    config = sim_config(
-        memory_bytes=args.memory_mb * 1024 ** 2,
-        metadata_cache_bytes=args.cache_kb * 1024,
-    )
+    try:
+        config = sim_config(
+            memory_bytes=args.memory_mb * 1024 ** 2,
+            metadata_cache_bytes=args.cache_kb * 1024,
+        )
+    except ConfigError as exc:  # every --memory-mb builds
+        return path_error("star-stats", "--cache-kb", exc)
     try:
         ops = TraceSpec(args.workload, config.num_data_lines,
                         args.operations, args.seed).ops()

@@ -61,7 +61,10 @@ def _generate(args) -> int:
         args.workload, args.operations, args.seed, args.threads,
         args.lines,
     )
-    count = save_trace(ops, args.output, header=header)
+    try:
+        count = save_trace(ops, args.output, header=header)
+    except AllocationError as exc:  # tree workloads allocate as they go
+        return path_error("star-trace", "--lines", exc)
     print("wrote %d ops to %s" % (count, args.output))
     return 0
 

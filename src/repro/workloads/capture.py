@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
+import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -95,15 +97,27 @@ def parse_op(line: str) -> Op:
 
 def save_trace(ops: Iterable[Op], path: PathLike,
                header: str = "") -> int:
-    """Write a trace file; returns the number of ops written."""
+    """Write a trace file; returns the number of ops written.
+
+    The ops stream into a scratch directory next to ``path`` and the
+    file moves into place only once the last op is written, so an
+    exception from ``ops`` (a workload running out of address space)
+    leaves no partial file. (Same file name, so the same compression
+    and the same name in a gzip header.)
+    """
+    path = Path(path)
     count = 0
-    with _open(path, "w") as handle:
-        if header:
-            for line in header.splitlines():
-                handle.write("# %s\n" % line)
-        for op in ops:
-            handle.write(format_op(op) + "\n")
-            count += 1
+    with tempfile.TemporaryDirectory(prefix=".tmp-",
+                                     dir=path.parent) as scratch:
+        tmp = Path(scratch) / path.name
+        with _open(tmp, "w") as handle:
+            if header:
+                for line in header.splitlines():
+                    handle.write("# %s\n" % line)
+            for op in ops:
+                handle.write(format_op(op) + "\n")
+                count += 1
+        os.replace(tmp, path)
     return count
 
 

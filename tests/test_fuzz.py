@@ -182,6 +182,32 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "corpus.jsonl").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2_before_any_case_runs(
+            self, jobs, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            fuzz_main(["run", "--jobs", jobs, "--cases", "2",
+                       "--corpus", str(corpus)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: must be at least 1" in err
+        assert "Traceback" not in err
+        assert not corpus.exists()
+
+    def test_corpus_is_identical_with_and_without_telemetry(
+            self, tmp_path):
+        """Heartbeats are observability only: the campaign's counters,
+        and so its corpus summary, pick up no ``live.*`` name."""
+        argv = ["run", "--cases", "4", "--seed", "5", "--quiet"]
+        plain, watched = tmp_path / "plain.jsonl", tmp_path / "tele.jsonl"
+        assert fuzz_main(argv + ["--corpus", str(plain)]) == 0
+        assert fuzz_main(argv + ["--corpus", str(watched),
+                                 "--telemetry", str(tmp_path / "tele"),
+                                 "--heartbeat-interval", "0"]) == 0
+        assert plain.read_bytes() == watched.read_bytes()
+        assert (tmp_path / "tele" / "coordinator.jsonl").is_file()
+
     @pytest.mark.parametrize("meta", [
         {"a": 1},
         "not json",

@@ -254,6 +254,8 @@ def exit_code(argv):
 
 
 class TestUsageErrors:
+    # --retries and --max-attempts are gone (the board owns the retry
+    # policy); their rows stay, refused now as unknown flags
     @pytest.mark.parametrize("argv, flag", [
         (["run", "--jobs", "0"], "--jobs"),
         (["run", "--jobs", "-2"], "--jobs"),
@@ -269,6 +271,12 @@ class TestUsageErrors:
         (["run", "--timeout", "5"], "--timeout"),
         (["resume", "--timeout", "5"], "--timeout"),
         (["work", "--timeout", "5"], "--timeout"),
+        # a timeout no cell can meet
+        (["run", "--timeout", "0", "--jobs", "2"], "--timeout"),
+        (["run", "--timeout", "-1", "--jobs", "2"], "--timeout"),
+        (["resume", "--timeout", "0", "--jobs", "2"], "--timeout"),
+        (["work", "--timeout", "0", "--jobs", "2"], "--timeout"),
+        (["work", "--timeout", "-1", "--jobs", "2"], "--timeout"),
     ])
     def test_bad_values_exit_2_with_a_message(
             self, argv, flag, grid_path, tmp_path, capsys):
@@ -359,21 +367,37 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestBackoffFlags:
-    def test_run_accepts_backoff_policy_flags(
-            self, grid_path, tmp_path):
-        assert run_cli("run", "--grid", grid_path,
-                       "--store", str(tmp_path / "lab"),
-                       "--backoff-policy", "exponential",
-                       "--backoff", "0.1", "--backoff-cap", "2.0",
-                       "--quiet") == 0
-
-    def test_unknown_backoff_policy_is_rejected(
-            self, grid_path, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("run", "--grid", grid_path,
-                    "--store", str(tmp_path / "lab"),
-                    "--backoff-policy", "fibonacci")
+    @pytest.mark.parametrize("verb, flag, value", [
+        (verb, flag, value)
+        for verb in ("run", "resume")
+        for flag, value in (("--retries", "2"), ("--backoff", "0.5"),
+                            ("--backoff-policy", "exponential"),
+                            ("--backoff-cap", "30"))
+    ] + [
+        ("work", flag, value)
+        for flag, value in (("--max-attempts", "3"), ("--backoff", "0.5"),
+                            ("--backoff-policy", "exponential"),
+                            ("--backoff-cap", "30"))
+    ] + [("serve", "--lease", "4")])
+    def test_retry_policy_flags_are_gone(
+            self, verb, flag, value, grid_path, tmp_path, capsys):
+        """The lease board owns the retry policy (3 attempts, requeued
+        after 0.5 s then 1.0 s), so no verb takes it as a flag."""
+        store_dir = str(tmp_path / "lab")
+        farm_dir = str(tmp_path / "farm")
+        if verb == "work":
+            run_cli("serve", "--grid", grid_path, "--store", store_dir,
+                    "--farm", farm_dir, "--max-wall", "0", "--quiet")
+            where = ["--farm", farm_dir, "--wait", "0"]
+        else:
+            where = ["--grid", grid_path, "--store", store_dir]
+        if verb == "serve":
+            where += ["--farm", farm_dir, "--max-wall", "0"]
+        capsys.readouterr()
+        assert exit_code([verb, flag, value] + where + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s" % flag in err
+        assert len(ResultStore(store_dir)) == 0
 
 
 class TestGc:

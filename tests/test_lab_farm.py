@@ -171,11 +171,9 @@ class TestFailurePaths:
         coordinator, _store, _stats = make_farm(tmp_path, clock=clock)
         coordinator.prepare(specs, name="failing")
 
-        script = {specs[0].spec_hash: [("error", "boom")] * 2}
-        summary = Worker(
-            tmp_path / "farm", "w1", clock=clock,
-            max_attempts=2, runner=FakeRunner(script),
-        ).run()
+        script = {specs[0].spec_hash: [("error", "boom")] * 3}
+        summary = Worker(tmp_path / "farm", "w1", clock=clock,
+                         runner=FakeRunner(script)).run()
         assert summary["failed"] == 1 and summary["done"] == 0
 
         report = coordinator.run(specs, name="failing", max_wall_s=60)
@@ -187,11 +185,11 @@ class TestFailurePaths:
 
 
     def test_failing_cell_executes_max_attempts_times(self, tmp_path):
-        """The board's ``max_attempts`` is the farm's one retry budget:
-        with ``star-lab work`` defaults (3 attempts) a cell that errors
-        on every execution runs 3 times, not 3 board attempts times
-        the in-pool scheduler retries."""
-        from test_lab_scheduler import FakeRunner
+        """The board's fixed policy is the farm's one retry budget: a
+        cell that errors on every execution runs 3 times, not 3 board
+        attempts times the in-pool scheduler retries, and each retry
+        waits out the board's delay."""
+        from test_lab_scheduler import FakeRunner, assert_board_retry_schedule
 
         specs = make_specs(1)
         clock = FakeClock()
@@ -202,9 +200,11 @@ class TestFailurePaths:
         summary = Worker(tmp_path / "farm", "w1", clock=clock,
                          runner=runner).run()
         assert summary["failed"] == 1
-        assert len(runner.handles) == 3
+        assert_board_retry_schedule(runner.handles)
         (row,) = coordinator.board.rows()
         assert (row["state"], row["attempts"]) == ("failed", 3)
+        report = coordinator.run(specs, name="failing", max_wall_s=60)
+        assert report.failed == 1
         coordinator.close()
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.runner import config_for_scale
 from repro.errors import ConfigError
-from repro.lab.clock import BackoffPolicy, FakeClock
+from repro.lab.clock import FakeClock
 from repro.lab.lease import LeaseBoard
 from repro.lab.spec import bench_spec
 
@@ -219,26 +219,32 @@ class TestFencing:
 
 class TestFailures:
     def test_fail_requeues_with_backoff_until_exhausted(self, tmp_path):
+        """The board's own policy: the third failure is terminal, and
+        the first two requeue after 0.5 s, then 1.0 s."""
         specs = make_specs(1)
         clock = FakeClock()
         board = make_board(tmp_path, clock)
         board.seed(specs)
-        policy = BackoffPolicy("exponential", base_s=4.0)
 
         (lease,) = board.claim("w1", lease_s=60.0)
-        assert board.fail("w1", lease.spec_hash, lease.fence, "boom",
-                          max_attempts=3, backoff=policy) == "requeued"
+        assert board.fail("w1", lease.spec_hash, lease.fence,
+                          "boom") == "requeued"
+        assert board.lease_row(lease.spec_hash)["deadline"] == 0.5
         # not claimable until the backoff delay passes
+        clock.advance(0.25)
         assert board.claim("w1", lease_s=60.0) == []
-        clock.advance(4.0)
+        clock.advance(0.25)
         (lease,) = board.claim("w1", lease_s=60.0)
         assert lease.attempts == 1
-        assert board.fail("w1", lease.spec_hash, lease.fence, "boom",
-                          max_attempts=3, backoff=policy) == "requeued"
-        clock.advance(8.0)  # exponential: second delay doubles
+        assert board.fail("w1", lease.spec_hash, lease.fence,
+                          "boom") == "requeued"
+        clock.advance(0.75)  # the second delay doubles to 1.0 s
+        assert board.claim("w2", lease_s=60.0) == []
+        clock.advance(0.25)
         (lease,) = board.claim("w2", lease_s=60.0)
-        assert board.fail("w2", lease.spec_hash, lease.fence, "boom",
-                          max_attempts=3, backoff=policy) == "failed"
+        assert lease.attempts == 2
+        assert board.fail("w2", lease.spec_hash, lease.fence,
+                          "boom") == "failed"
         assert board.finished()
         (failure,) = board.failures()
         assert failure["attempts"] == 3

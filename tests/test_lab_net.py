@@ -23,8 +23,6 @@ from repro.lab.net.flaky import FlakyProxy, scripted_plan, seeded_plan
 from repro.lab.net.server import LeaseServer
 from repro.lab.net.transport import (
     TransportError,
-    backoff_from_wire,
-    backoff_to_wire,
     lease_from_wire,
     lease_to_wire,
 )
@@ -35,7 +33,7 @@ from repro.util.stats import Stats
 CONFIG = config_for_scale("smoke")
 
 #: Instant client-side retry pacing (slept through a FakeClock anyway).
-FAST = BackoffPolicy("linear", base_s=0.01, cap_s=0.05)
+FAST = BackoffPolicy(base_s=0.01, cap_s=0.05)
 
 
 def make_specs(count=4, operations=40):
@@ -89,12 +87,6 @@ class TestWire:
         back = lease_from_wire(wire)
         assert back == lease
         assert back.spec_hash == spec.spec_hash
-
-    def test_backoff_round_trips(self):
-        policy = BackoffPolicy("exponential", base_s=0.25, cap_s=8.0)
-        assert backoff_from_wire(backoff_to_wire(policy)) == policy
-        assert backoff_to_wire(None) is None
-        assert backoff_from_wire(None) is None
 
 
 # ----------------------------------------------------------------------
@@ -167,25 +159,32 @@ class TestHttpVerbs:
             server.shutdown()
             board.close()
 
-    def test_fail_carries_backoff_policy_over_the_wire(self, tmp_path):
+    def test_fail_over_the_wire_follows_the_boards_schedule(
+            self, tmp_path):
+        """The fail verb carries no policy: the board requeues after
+        0.5 s, then 1.0 s, and fails the cell on its third failure."""
         clock = FakeClock()
         server, board, _store, _stats = start_server(tmp_path,
                                                      clock=clock)
         try:
             client = client_for(server)
             client.seed(make_specs(1))
+            for delay in (0.5, 1.0):
+                (lease,) = client.claim("w1", lease_s=60.0)
+                outcome = client.fail("w1", lease.spec_hash,
+                                      lease.fence, "boom")
+                assert outcome == "requeued"
+                row = board.lease_row(lease.spec_hash)
+                assert row["state"] == "pending"
+                # requeued under the board's delay: not claimable yet
+                clock.advance(delay - 0.25)
+                assert client.claim("w2", lease_s=60.0) == []
+                clock.advance(0.25)
             (lease,) = client.claim("w1", lease_s=60.0)
-            policy = BackoffPolicy("linear", base_s=7.0, cap_s=60.0)
-            outcome = client.fail("w1", lease.spec_hash, lease.fence,
-                                  "boom", max_attempts=3,
-                                  backoff=policy)
-            assert outcome == "requeued"
-            row = board.lease_row(lease.spec_hash)
-            assert row["state"] == "pending"
-            # requeued under the policy's delay: not claimable yet
-            assert client.claim("w2", lease_s=60.0) == []
-            clock.advance(7.0)
-            assert len(client.claim("w2", lease_s=60.0)) == 1
+            assert client.fail("w1", lease.spec_hash, lease.fence,
+                               "boom") == "failed"
+            (failure,) = client.failures()
+            assert failure["attempts"] == 3
         finally:
             server.shutdown()
             board.close()
@@ -340,6 +339,36 @@ class TestHttpFarm:
                                      max_wall_s=60)
             assert report.ok
             assert export_text(store) == reference
+        finally:
+            server.shutdown()
+            board.close()
+            coordinator.close()
+
+    def test_failing_cell_runs_on_the_boards_schedule(self, tmp_path):
+        """A cell that errors on every execution, reported through the
+        HTTP fail verb, runs three times on the board's schedule and
+        the campaign reports it failed."""
+        from test_lab_scheduler import FakeRunner, assert_board_retry_schedule
+
+        specs = make_specs(1)
+        stats = Stats(enabled=True)
+        clock = FakeClock()  # board deadlines and worker idle sleeps
+        coordinator, _store = self._coordinator(tmp_path, stats)
+        coordinator.prepare(specs, name="failing")
+        server, board, _sstore, _ = start_server(tmp_path, clock=clock,
+                                                 stats=stats)
+        try:
+            runner = FakeRunner(
+                {specs[0].spec_hash: [("error", "boom")] * 9})
+            summary = Worker(tmp_path / "w1", "w1", clock=clock,
+                             coordinator=server.url, net_backoff=FAST,
+                             runner=runner).run()
+            assert summary["failed"] == 1 and summary["done"] == 0
+            assert_board_retry_schedule(runner.handles)
+            report = coordinator.run(specs, name="failing",
+                                     max_wall_s=60)
+            assert report.failed == 1
+            assert report.failures[0]["error"] == "boom"
         finally:
             server.shutdown()
             board.close()

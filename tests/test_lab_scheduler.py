@@ -41,12 +41,16 @@ def export_text(store):
 # scripted runner (no processes, no wall time)
 # ----------------------------------------------------------------------
 class FakeHandle:
-    def __init__(self, outcome, started):
+    def __init__(self, outcome, clock):
         self.outcome = outcome  # ("ok", payload)/("error", msg)/None
-        self.started = started
+        self.clock = clock
+        self.started = clock.now()
+        self.finished = None  # when the scheduler first saw the outcome
         self.stopped = False
 
     def poll(self):
+        if self.outcome is not None and self.finished is None:
+            self.finished = self.clock.now()
         return self.outcome
 
     def stop(self):
@@ -63,31 +67,38 @@ class FakeRunner:
 
     def start(self, spec, clock):
         outcome = self.script[spec.spec_hash].pop(0)
-        handle = FakeHandle(outcome, clock.now())
+        handle = FakeHandle(outcome, clock)
         self.handles.append(handle)
         return handle
 
 
+def assert_board_retry_schedule(handles):
+    """The lease board's fixed retry policy, as a cell that errors on
+    every execution sees it: exactly three runs, the second starting
+    at least 0.5 s and the third at least 1.0 s after the failure
+    before it."""
+    assert len(handles) == 3
+    first, second, third = handles
+    assert second.started - first.finished >= 0.5
+    assert third.started - second.finished >= 1.0
+
+
 class TestBackoffPolicy:
-    def test_linear_delays_grow_by_base(self):
-        policy = BackoffPolicy("linear", base_s=2.0)
-        assert [policy.delay(n) for n in (0, 1, 2, 3)] == \
-            [0.0, 2.0, 4.0, 6.0]
-
     def test_exponential_delays_double_and_cap(self):
-        policy = BackoffPolicy("exponential", base_s=1.0, cap_s=5.0)
-        assert [policy.delay(n) for n in (1, 2, 3, 4, 10)] == \
-            [1.0, 2.0, 4.0, 5.0, 5.0]
+        policy = BackoffPolicy(base_s=1.0, cap_s=5.0)
+        assert [policy.delay(n) for n in (0, 1, 2, 3, 4, 10)] == \
+            [0.0, 1.0, 2.0, 4.0, 5.0, 5.0]
 
-    def test_linear_delays_cap_too(self):
-        policy = BackoffPolicy("linear", base_s=10.0, cap_s=15.0)
-        assert policy.delay(2) == 15.0
+    def test_an_unbounded_attempt_count_stays_at_the_cap(self):
+        # a worker idling for hours counts past 2**10 re-claims
+        assert BackoffPolicy(base_s=0.2, cap_s=15.0).delay(5000) == 15.0
+        assert BackoffPolicy(base_s=0.0, cap_s=15.0).delay(5000) == 0.0
 
-    def test_unknown_policy_is_rejected(self):
+    def test_negative_base_or_cap_is_rejected(self):
         with pytest.raises(ConfigError):
-            BackoffPolicy("fibonacci")
+            BackoffPolicy(base_s=-1.0)
         with pytest.raises(ConfigError):
-            BackoffPolicy("linear", base_s=-1.0)
+            BackoffPolicy(cap_s=-1.0)
 
 
 class TestFailurePaths:
@@ -104,14 +115,13 @@ class TestFailurePaths:
         payload = {"version": 1}
         report, stats, store, runner = self._run(
             {spec.spec_hash: [("error", "boom"), ("ok", payload)]},
-            [spec], root=tmp_path / "lab", retries=2,
-            backoff=BackoffPolicy("linear", base_s=5.0),
+            [spec], root=tmp_path / "lab",
         )
         assert report.completed == 1 and report.failed == 0
         assert stats.get("lab.farm.cells_requeued") == 1
-        # the retry waited out the linear backoff on the fake clock
+        # the retry waited out the board's first delay on the fake clock
         assert (runner.handles[1].started
-                - runner.handles[0].started) >= 5.0
+                - runner.handles[0].finished) >= 0.5
         assert store.get(spec).payload == payload
 
     def test_exponential_backoff_doubles_the_retry_gaps(self, tmp_path):
@@ -119,20 +129,18 @@ class TestFailurePaths:
         report, _stats, _store, runner = self._run(
             {spec.spec_hash: [("error", "a"), ("error", "b"),
                               ("ok", {"version": 1})]},
-            [spec], root=tmp_path / "lab", retries=2,
-            backoff=BackoffPolicy("exponential", base_s=4.0),
+            [spec], root=tmp_path / "lab",
         )
         assert report.completed == 1
-        starts = [handle.started for handle in runner.handles]
-        assert starts[1] - starts[0] >= 4.0
-        assert starts[2] - starts[1] >= 8.0  # second retry doubled
+        first, second, third = runner.handles
+        assert second.started - first.finished >= 0.5
+        assert third.started - second.finished >= 1.0  # doubled
 
     def test_hung_worker_times_out_and_is_retried(self, tmp_path):
         spec = real_specs(count=1)[0]
         report, stats, _store, runner = self._run(
             {spec.spec_hash: [None, ("ok", {"version": 1})]},
-            [spec], root=tmp_path / "lab",
-            timeout_s=1.0, retries=1, backoff=BackoffPolicy(base_s=0.0),
+            [spec], root=tmp_path / "lab", timeout_s=1.0,
         )
         assert report.completed == 1
         assert stats.get("lab.jobs.timeouts") == 1
@@ -141,11 +149,11 @@ class TestFailurePaths:
     def test_exhausted_retries_report_a_permanent_failure(
             self, tmp_path):
         spec = real_specs(count=1)[0]
-        report, stats, store, _runner = self._run(
-            {spec.spec_hash: [("error", "a\nboom")] * 3},
-            [spec], root=tmp_path / "lab", retries=2,
-            backoff=BackoffPolicy(base_s=0.0),
+        report, stats, store, runner = self._run(
+            {spec.spec_hash: [("error", "a\nboom")] * 9},
+            [spec], root=tmp_path / "lab",
         )
+        assert_board_retry_schedule(runner.handles)
         assert report.failed == 1 and not report.ok
         assert report.failures[0]["attempts"] == 3
         assert report.failures[0]["error"] == "boom"
@@ -226,13 +234,12 @@ class TestFailurePaths:
         spec = real_specs(count=1)[0]
         root = tmp_path / "lab"
         first, _stats, _store, _runner = self._run(
-            {spec.spec_hash: [("error", "boom")]}, [spec], root=root,
-            retries=0,
+            {spec.spec_hash: [("error", "boom")] * 3}, [spec], root=root,
         )
         assert first.failed == 1
         second, _stats, store, _runner = self._run(
             {spec.spec_hash: [("ok", {"version": 1})]}, [spec],
-            root=root, retries=0,
+            root=root,
         )
         assert second.ok and second.completed == 1
         assert read_journals(store)[0]["status"] == "complete"

@@ -251,23 +251,28 @@ class TestAggregation:
     def test_fuzz_campaign_aggregate_matches_serial_registry(
         self, tmp_path
     ):
-        """The equivalence gate: the merged worker registries carry
-        exactly the fuzz.* counts the campaign's own registry does."""
+        """The equivalence gate: serial or pooled, a fuzz campaign
+        writes exactly one heartbeat, carrying the fuzz.* counts of
+        the campaign's own registry (the last ones too: the final
+        beat is not throttled)."""
         spec = CampaignSpec(cases=6, seed=11, schemes=["star"],
                             workloads=["hash"], min_operations=10,
                             max_operations=20, attack_rate=0.5)
         spec.validate()
-        campaign = run_campaign(spec, telemetry_dir=tmp_path,
-                                heartbeat_interval_s=0.0)
-        aggregate = aggregate_heartbeats(tmp_path, now_wall=1e18)
-        merged = {name: value
-                  for name, value in aggregate.registry.counters()
-                  if name.startswith("fuzz.")}
-        serial = {name: value
-                  for name, value in campaign.stats.registry.counters()
-                  if name.startswith("fuzz.")}
-        assert merged == serial
-        assert merged["fuzz.cases"] == 6
+        for jobs in (1, 2):
+            telemetry = tmp_path / ("jobs%d" % jobs)
+            campaign = run_campaign(spec, jobs=jobs,
+                                    telemetry_dir=telemetry,
+                                    heartbeat_interval_s=60.0)
+            assert [path.name for path in telemetry.iterdir()] == [
+                "coordinator.jsonl"]
+            aggregate = aggregate_heartbeats(telemetry, now_wall=1e18)
+            merged = {name: value
+                      for name, value in aggregate.registry.counters()
+                      if name.startswith("fuzz.")}
+            own = dict(campaign.stats.registry.counters())
+            assert merged == own  # and no live.* name reached the campaign
+            assert merged["fuzz.cases"] == 6
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +459,7 @@ class TestFarmHeader:
         farm = tmp_path / "farm"
         (farm / "telemetry").mkdir(parents=True)
         manifest = {"campaign_id": "deadbeef", "name": "smoke",
-                    "cells": 4, "lease_s": 60.0,
-                    "transport": transport}
+                    "cells": 4, "transport": transport}
         (farm / "farm.json").write_text(json.dumps(manifest))
         return farm
 
