@@ -188,11 +188,6 @@ class SystemConfig:
     star: StarConfig = field(default_factory=StarConfig)
     recovery_line_access_ns: float = 100.0
     crypto_key: bytes = b"star-reproduction-key"
-    device_timing: bool = False
-    """Opt-in bank-level PCM timing (``repro.mem.device``) instead of
-    the flat-latency + write-queue model."""
-    device_banks: int = 8
-    device_row_lines: int = 32
 
     def __post_init__(self) -> None:
         _require(self.memory_bytes >= LINE_SIZE * TREE_ARITY,

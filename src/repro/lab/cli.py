@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--farm", default=None, metavar="DIR",
                        help="shared farm directory "
                             "(default: <store>/farm)")
-    serve.add_argument("--poll", type=float, default=0.5,
+    serve.add_argument("--poll", type=positive_float, default=0.5,
                        metavar="SECONDS",
                        help="board poll interval (default 0.5)")
     serve.add_argument("--max-wall", type=float, default=None,
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="lease duration to claim for (default 60; "
                            "must cover a cell + renewal slack)")
-    work.add_argument("--poll", type=float, default=0.2,
+    work.add_argument("--poll", type=positive_float, default=0.2,
                       metavar="SECONDS",
                       help="idle claim poll floor (default 0.2)")
     work.add_argument("--wait", type=float, default=30.0,

@@ -187,6 +187,7 @@ class Coordinator:
         self._specs: List[RunSpec] = []
         self._spec_dicts: List[Dict] = []
         self._started = 0.0
+        self._sitting: Dict = {}
         self._resumed = 0
         self._checkpoints: List[Dict] = []
 
@@ -207,8 +208,9 @@ class Coordinator:
         Cells the authoritative store already holds are settled as done
         without ever being claimable — the resume path. The checkpoint
         history continues: this coordinator's own, or else the
-        journal's. A board holding cells outside this campaign is
-        refused: its merge would wait on cells nobody serves.
+        journal's; progress rates count from this sitting. A board
+        holding cells outside this campaign is refused: its merge would
+        wait on cells nobody serves.
         """
         hashes = {spec.spec_hash for spec in specs}
         foreign = [spec_hash for spec_hash in self.board.hashes()
@@ -245,6 +247,8 @@ class Coordinator:
                                     self.heartbeat_interval_s,
                                     self.stats)
         report = self._report()
+        self._sitting = {"wall_s": self._started,
+                         "stored": report.resumed + report.completed}
         self._checkpoint(report)
         self._journal("running", report)
         self._publish(report)
@@ -297,7 +301,8 @@ class Coordinator:
 
     def _journal(self, status: str, report: CampaignReport) -> None:
         write_journal(self.store, self._cid, self._name,
-                      self._spec_dicts, status, report, self._checkpoints)
+                      self._spec_dicts, status, report, self._checkpoints,
+                      self._sitting)
 
     def _publish(self, report: CampaignReport,
                  force: bool = False) -> None:

@@ -18,8 +18,9 @@ export payloads.
 * :mod:`repro.lab.net.client` — :class:`HttpLeaseClient`, the
   worker-side transport with per-request timeouts and
   :class:`~repro.lab.clock.BackoffPolicy` retries.
-* :mod:`repro.lab.net.flaky` — an in-process fault-injecting proxy
-  (drop / delay / duplicate / truncate) for transport tests.
+
+The fault-injecting proxy the transport tests run through (drop /
+delay / duplicate / truncate) is test code: ``tests/flaky_proxy.py``.
 """
 
 from repro.lab.net.client import HttpLeaseClient

@@ -401,7 +401,7 @@ def journal_path(store: ResultStore, cid: str) -> Path:
 def write_journal(store: ResultStore, cid: str, name: str,
                   spec_dicts: List[Dict], status: str,
                   report: CampaignReport,
-                  checkpoints: List[Dict]) -> None:
+                  checkpoints: List[Dict], sitting: Dict) -> None:
     """Atomically publish one campaign journal under the store.
 
     The journal is the single checkpoint format every progress reader
@@ -409,7 +409,9 @@ def write_journal(store: ResultStore, cid: str, name: str,
     campaign's owner, a :class:`~repro.lab.farm.Coordinator`, writes
     it. ``spec_dicts`` is the campaign's spec list as
     :meth:`RunSpec.to_dict` data, built once per campaign rather than
-    at every checkpoint.
+    at every checkpoint. ``sitting`` is the (wall clock, cells stored)
+    sample at the start of the current invocation, which rates are
+    measured from.
     """
     payload = {
         "campaign_id": cid,
@@ -418,6 +420,7 @@ def write_journal(store: ResultStore, cid: str, name: str,
         "counts": report.summary(),
         "failures": report.failures,
         "checkpoints": checkpoints[-CHECKPOINT_LIMIT:],
+        "sitting": sitting,
         "git_rev": git_revision(),
         "specs": spec_dicts,
     }
@@ -479,34 +482,44 @@ def find_journal(store: ResultStore, id_prefix: str
     return matches[0] if len(matches) == 1 else None
 
 
+def _is_sample(entry: object) -> bool:
+    """A (wall clock, cells stored) progress sample."""
+    return (isinstance(entry, dict)
+            and "wall_s" in entry and "stored" in entry)
+
+
 def checkpoint_rates(journal: Dict, now_wall: Optional[float] = None,
                      stale_after_s: float = 30.0
                      ) -> Tuple[Optional[float], Optional[float], bool]:
     """Derive (throughput cells/s, ETA seconds, stale?) from a
     journal's checkpoint history.
 
-    Throughput comes from the first-to-last checkpoint delta (cells
-    stored per wall second). ETA extrapolates the remaining cell count
-    at that rate. ``stale`` is true for a *running* campaign whose last
+    Throughput is cells stored per wall second over the current
+    sitting: from the journal's ``sitting`` sample to the last
+    checkpoint, so the time between a campaign's invocations does not
+    count as work time (journals without one start at the first
+    checkpoint). ETA extrapolates the remaining cell count at that
+    rate. ``stale`` is true for a *running* campaign whose last
     checkpoint is older than ``stale_after_s`` — a local campaign
     checkpoints after every settled cell, so silence means the process
     died or hung. Either rate is ``None`` when the history can't
-    support it (fewer than two checkpoints, or no forward progress
+    support it (no checkpoint after the start, or no forward progress
     yet).
     """
     checkpoints = [
         entry for entry in journal.get("checkpoints", [])
-        if isinstance(entry, dict)
-        and "wall_s" in entry and "stored" in entry
+        if _is_sample(entry)
     ]
     stale = False
     if (now_wall is not None and checkpoints
             and journal.get("status") == "running"):
         age = now_wall - float(checkpoints[-1]["wall_s"])
         stale = age > stale_after_s
-    if len(checkpoints) < 2:
+    if not checkpoints:
         return None, None, stale
-    first, last = checkpoints[0], checkpoints[-1]
+    sitting = journal.get("sitting")
+    first = sitting if _is_sample(sitting) else checkpoints[0]
+    last = checkpoints[-1]
     elapsed = float(last["wall_s"]) - float(first["wall_s"])
     stored = int(last["stored"]) - int(first["stored"])
     if elapsed <= 0 or stored <= 0:

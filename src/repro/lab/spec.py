@@ -39,6 +39,16 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 """Bumping this invalidates every cached cell (the version is hashed)."""
 
+RETIRED_CONFIG_KEYS = {
+    "device_timing": False,
+    "device_banks": 8,
+    "device_row_lines": 32,
+}
+"""Keys of the deleted bank-level timing model, held at the defaults
+every canonical config was hashed with, so no spec hash moves. A
+config with other values described a banked machine, which can no
+longer be rebuilt."""
+
 KINDS = ("bench", "fuzz")
 
 
@@ -53,12 +63,21 @@ def canonical_config(config: SystemConfig) -> Dict:
     """A ``SystemConfig`` as plain, JSON-safe, order-stable data."""
     payload = asdict(config)
     payload["crypto_key"] = config.crypto_key.hex()
+    payload.update(RETIRED_CONFIG_KEYS)
     return payload
 
 
 def config_from_canonical(payload: Dict) -> SystemConfig:
     """Rebuild the exact ``SystemConfig`` a canonical dict came from."""
     data = dict(payload)
+    for key, value in RETIRED_CONFIG_KEYS.items():
+        found = data.get(key)
+        if found != value:
+            raise ConfigError(
+                "canonical config %s is %r; only %r can be rebuilt "
+                "(the bank-level timing model is gone)"
+                % (key, found, value)
+            )
 
     def cache(entry: Optional[Dict]) -> Optional[CacheConfig]:
         return None if entry is None else CacheConfig(**entry)
@@ -75,9 +94,6 @@ def config_from_canonical(payload: Dict) -> SystemConfig:
             star=StarConfig(**data["star"]),
             recovery_line_access_ns=data["recovery_line_access_ns"],
             crypto_key=bytes.fromhex(data["crypto_key"]),
-            device_timing=data["device_timing"],
-            device_banks=data["device_banks"],
-            device_row_lines=data["device_row_lines"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(

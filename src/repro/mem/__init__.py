@@ -4,7 +4,6 @@ from repro.mem.adr import AdrRegion
 from repro.mem.cache import CacheLine, EvictionDeadlock, SetAssociativeCache
 from repro.mem.hierarchy import CacheHierarchy, MemoryEvent
 from repro.mem.layout import MemoryLayout, index_layer_counts
-from repro.mem.device import PCMDevice
 from repro.mem.nvm import NVM
 from repro.mem.wearlevel import StartGapRemapper, WearLevelingNVM
 from repro.mem.writequeue import WritePendingQueue
@@ -17,7 +16,6 @@ __all__ = [
     "MemoryEvent",
     "MemoryLayout",
     "NVM",
-    "PCMDevice",
     "SetAssociativeCache",
     "StartGapRemapper",
     "WearLevelingNVM",

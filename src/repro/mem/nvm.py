@@ -52,10 +52,6 @@ class NVM:
         """Per-line write counts, keyed by (region, line key) — the
         input to the endurance model (PCM cells wear out after 1e7-1e9
         writes; limited endurance is the paper's core motivation)."""
-        self.trace: Optional[list] = None
-        """When set to a list, every access appends
-        ``(op, region, key)`` — the address feed for the bank-level
-        device timing model."""
         self._base = 0
         self._bind_counters()
 
@@ -91,14 +87,10 @@ class NVM:
     def read_data(self, line: int) -> Optional[DataLineImage]:
         """Read a data line; ``None`` when it was never written."""
         self._c_data_reads.value += 1
-        if self.trace is not None:
-            self.trace.append(("r", "data", line))
         return self._data.get(line)
 
     def write_data(self, line: int, image: DataLineImage) -> None:
         self._c_data_writes.value += 1
-        if self.trace is not None:
-            self.trace.append(("w", "data", line))
         wear_key = ("data", line)
         wear = self.wear
         wear[wear_key] = wear.get(wear_key, 0) + 1
@@ -114,18 +106,15 @@ class NVM:
 
         The wear-leveling gap rotation is real device traffic: one
         line read at ``source``, one line write at ``destination``.
-        Counts, wear and the address trace all see it; the touched
-        gauge does not move (one slot vacated, one filled). Returns
-        ``False`` (and counts nothing) when ``source`` holds no line.
+        Counts and wear both see it; the touched gauge does not move
+        (one slot vacated, one filled). Returns ``False`` (and counts
+        nothing) when ``source`` holds no line.
         """
         content = self._data.pop(source, None)
         if content is None:
             return False
         self._c_data_reads.value += 1
         self._c_data_writes.value += 1
-        if self.trace is not None:
-            self.trace.append(("r", "data", source))
-            self.trace.append(("w", "data", destination))
         self._wear_out("data", destination)
         self._data[destination] = content
         return True
@@ -144,8 +133,6 @@ class NVM:
     def read_meta(self, meta_index: int) -> Tuple[NodeImage, bool]:
         """Read a metadata line; the flag is False for untouched lines."""
         self._c_meta_reads.value += 1
-        if self.trace is not None:
-            self.trace.append(("r", "meta", meta_index))
         image = self._meta.get(meta_index)
         if image is None:
             return NodeImage.zero(), False
@@ -153,8 +140,6 @@ class NVM:
 
     def write_meta(self, meta_index: int, image: NodeImage) -> None:
         self._c_meta_writes.value += 1
-        if self.trace is not None:
-            self.trace.append(("w", "meta", meta_index))
         wear_key = ("meta", meta_index)
         wear = self.wear
         wear[wear_key] = wear.get(wear_key, 0) + 1
@@ -184,14 +169,10 @@ class NVM:
     # ------------------------------------------------------------------
     def read_ra(self, key: BitmapLineKey) -> int:
         self._c_ra_reads.value += 1
-        if self.trace is not None:
-            self.trace.append(("r", "ra", key))
         return self._ra.get(key, 0)
 
     def write_ra(self, key: BitmapLineKey, value: int) -> None:
         self._c_ra_writes.value += 1
-        if self.trace is not None:
-            self.trace.append(("w", "ra", key))
         wear_key = ("ra", key)
         wear = self.wear
         wear[wear_key] = wear.get(wear_key, 0) + 1
@@ -217,14 +198,10 @@ class NVM:
     # ------------------------------------------------------------------
     def read_st(self, slot: int) -> Optional[object]:
         self._c_st_reads.value += 1
-        if self.trace is not None:
-            self.trace.append(("r", "st", slot))
         return self._st.get(slot)
 
     def write_st(self, slot: int, entry: object) -> None:
         self._c_st_writes.value += 1
-        if self.trace is not None:
-            self.trace.append(("w", "st", slot))
         wear_key = ("st", slot)
         wear = self.wear
         wear[wear_key] = wear.get(wear_key, 0) + 1

@@ -119,5 +119,5 @@ class WearLevelingNVM(NVM):
             source, destination = migration
             self.stats.add("wearlevel.gap_moves")
             # the migration is a real device read + write, routed
-            # through the counted API so the address trace sees it too
+            # through the counted API so the counters and wear see it
             self.migrate_data(source, destination)

@@ -103,17 +103,7 @@ class Machine:
             if cache is not None
         ]
         self.hierarchy = CacheHierarchy(levels, self.stats)
-        device = None
-        if config.device_timing:
-            from repro.mem.device import PCMDevice
-
-            device = PCMDevice(
-                config.nvm, config.device_banks, config.device_row_lines
-            )
-            self._region_bases = self._build_region_bases()
-        self.timing = TimingModel(
-            config.cpu, config.nvm, device=device, stats=self.stats
-        )
+        self.timing = TimingModel(config.cpu, config.nvm, stats=self.stats)
         self.crashed = False
         self.pre_crash_dirty: Dict[int, Tuple[int, ...]] = {}
         self._dirty_fraction_at_crash: Optional[float] = None
@@ -187,59 +177,11 @@ class Machine:
 
     def _charged(self, operation, addr: int) -> None:
         """Run a controller operation and charge its NVM traffic."""
-        if self.timing.device is not None:
-            self._charged_via_device(operation, addr)
-            return
         reads_before = self.nvm.total_reads()
         writes_before = self.nvm.total_writes()
         operation(addr)
         self.timing.memory_reads(self.nvm.total_reads() - reads_before)
         self.timing.memory_writes(self.nvm.total_writes() - writes_before)
-
-    # ------------------------------------------------------------------
-    # bank-level device timing (opt-in, config.device_timing)
-    # ------------------------------------------------------------------
-    def _charged_via_device(self, operation, addr: int) -> None:
-        """Route every NVM access's address through the PCM device."""
-        self.nvm.trace = []
-        try:
-            operation(addr)
-            events = self.nvm.trace
-        finally:
-            self.nvm.trace = None
-        for op, region, key in events:
-            line = self._physical_line(region, key)
-            if op == "r":
-                self.timing.device_read(line)
-            else:
-                self.timing.device_write(line)
-
-    def _build_region_bases(self):
-        """Disjoint physical ranges for the four NVM regions."""
-        layout = self.controller.layout
-        meta_base = layout.num_data_lines
-        ra_base = meta_base + layout.total_meta_lines
-        layer_offsets = [0]
-        for count in layout.index_layers:
-            layer_offsets.append(layer_offsets[-1] + count)
-        st_base = ra_base + layer_offsets[-1]
-        return {
-            "meta": meta_base,
-            "ra": ra_base,
-            "ra_layers": layer_offsets,
-            "st": st_base,
-        }
-
-    def _physical_line(self, region: str, key) -> int:
-        bases = self._region_bases
-        if region == "data":
-            return key
-        if region == "meta":
-            return bases["meta"] + key
-        if region == "ra":
-            layer, index = key
-            return bases["ra"] + bases["ra_layers"][layer - 1] + index
-        return bases["st"] + key
 
     # ==================================================================
     # crash / recovery lifecycle

@@ -13,12 +13,10 @@ substitution argument.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.config import CPUConfig, NVMTimings
 from repro.mem.writequeue import WritePendingQueue
 
-_DEFAULT_HIT_LATENCY_NS = (1.0, 4.0, 12.0)
+HIT_LATENCY_NS = (1.0, 4.0, 12.0)
 """Per-level cache hit latencies (L1, L2, LLC) at 2 GHz-ish budgets."""
 
 
@@ -26,8 +24,7 @@ class TimingModel:
     """Accumulates simulated time from instruction and memory events."""
 
     def __init__(self, cpu: CPUConfig, nvm: NVMTimings,
-                 hit_latency_ns: Optional[Sequence[float]] = None,
-                 device=None, stats=None) -> None:
+                 stats=None) -> None:
         self.cpu = cpu
         self.nvm = nvm
         self.now_ns = 0.0
@@ -38,15 +35,6 @@ class TimingModel:
         self.wpq = WritePendingQueue(
             cpu.write_queue_entries, nvm.t_wr_ns, cpu.write_ports,
             stats=stats,
-        )
-        self.device = device
-        """Optional bank-level :class:`~repro.mem.device.PCMDevice`;
-        when set, the machine calls :meth:`device_read` /
-        :meth:`device_write` with real addresses instead of the
-        flat-latency methods."""
-        self._hit_latency_ns = tuple(
-            hit_latency_ns if hit_latency_ns is not None
-            else _DEFAULT_HIT_LATENCY_NS
         )
 
     # ------------------------------------------------------------------
@@ -61,8 +49,7 @@ class TimingModel:
 
     def cache_hit(self, level: int) -> None:
         """A load served by cache level ``level`` (0-based)."""
-        index = min(level, len(self._hit_latency_ns) - 1)
-        self.now_ns += self._hit_latency_ns[index]
+        self.now_ns += HIT_LATENCY_NS[min(level, len(HIT_LATENCY_NS) - 1)]
 
     def memory_reads(self, count: int) -> None:
         """``count`` demand NVM line reads on the critical path."""
@@ -79,31 +66,10 @@ class TimingModel:
             self.write_stall_ns += stall
             self.now_ns += stall
 
-    def device_read(self, line: int) -> None:
-        """A demand read through the bank-level device (synchronous)."""
-        completion = self.device.read(line, self.now_ns)
-        self.read_stall_ns += completion - self.now_ns
-        self.now_ns = completion
-
-    def device_write(self, line: int) -> None:
-        """A posted write through the bank-level device; persist
-        barriers wait for bank drain. A full write-queue (more busy
-        banks than WPQ entries would cover) backpressures the core."""
-        device = self.device
-        if device.pending_writes(self.now_ns) >= device.banks and \
-                self.cpu.write_queue_entries <= device.banks:
-            stall = device.drain_time(self.now_ns)
-            self.write_stall_ns += stall
-            self.now_ns += stall
-        device.write(line, self.now_ns)
-
     def persist_barrier(self) -> None:
         """clwb+sfence semantics: wait until all queued writes are
         durable, plus the fixed fence cost."""
-        if self.device is not None:
-            stall = self.device.drain_time(self.now_ns)
-        else:
-            stall = self.wpq.drain_time(self.now_ns)
+        stall = self.wpq.drain_time(self.now_ns)
         self.barrier_stall_ns += stall
         self.now_ns += stall + self.cpu.sfence_ns
 

@@ -1,12 +1,9 @@
 """Feature-combination integration matrix.
 
-The optional layers (bank-level device timing, start-gap wear leveling,
-threaded traces) must compose with every scheme without perturbing
-correctness: traffic identical where expected, invariants intact,
-crash-recovery exact.
+The optional layers (start-gap wear leveling, threaded traces) must
+compose with every scheme without perturbing correctness: traffic
+identical where expected, invariants intact, crash-recovery exact.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -19,10 +16,8 @@ from repro.workloads.registry import TraceSpec, make_workload
 SCHEMES = ["wb", "strict", "anubis", "star", "phoenix"]
 
 
-def build_machine(scheme, device=False, wear_level=0):
+def build_machine(scheme, wear_level=0):
     config = small_config()
-    if device:
-        config = replace(config, device_timing=True)
     nvm = None
     if wear_level:
         nvm = WearLevelingNVM(config.num_data_lines, wear_level)
@@ -30,9 +25,8 @@ def build_machine(scheme, device=False, wear_level=0):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("device", [False, True])
-def test_every_scheme_runs_under_every_timing_model(scheme, device):
-    machine = build_machine(scheme, device=device)
+def test_every_scheme_runs_with_a_clean_audit(scheme):
+    machine = build_machine(scheme)
     workload = make_workload("ycsb", machine.config.num_data_lines,
                              operations=100, seed=3)
     machine.run(workload.ops())
@@ -41,15 +35,15 @@ def test_every_scheme_runs_under_every_timing_model(scheme, device):
 
 
 @pytest.mark.parametrize("scheme", ["star", "anubis", "phoenix"])
-def test_recovery_composes_with_device_and_wear_leveling(scheme):
-    machine = build_machine(scheme, device=True, wear_level=64)
+def test_recovery_composes_with_wear_leveling_and_threads(scheme):
+    machine = build_machine(scheme, wear_level=64)
     trace = TraceSpec("hash", machine.config.num_data_lines, 60, seed=5,
                       threads=2)
     machine.run(trace.ops())
     machine.crash()
     report = machine.recover()
     assert machine.oracle_check(report), (
-        "%s recovery broke under device timing + wear leveling" % scheme
+        "%s recovery broke under wear leveling + threads" % scheme
     )
 
 

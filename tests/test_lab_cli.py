@@ -277,6 +277,13 @@ class TestUsageErrors:
         (["resume", "--timeout", "0", "--jobs", "2"], "--timeout"),
         (["work", "--timeout", "0", "--jobs", "2"], "--timeout"),
         (["work", "--timeout", "-1", "--jobs", "2"], "--timeout"),
+        # a poll interval that would busy-spin the watch or claim loop
+        (["serve", "--poll", "0", "--max-wall", "0"], "--poll"),
+        (["serve", "--poll", "-1", "--max-wall", "0"], "--poll"),
+        (["serve", "--poll", "nan", "--max-wall", "0"], "--poll"),
+        (["work", "--poll", "0"], "--poll"),
+        (["work", "--poll", "-1"], "--poll"),
+        (["work", "--poll", "nan"], "--poll"),
     ])
     def test_bad_values_exit_2_with_a_message(
             self, argv, flag, grid_path, tmp_path, capsys):

@@ -19,7 +19,6 @@ from repro.lab.clock import BackoffPolicy, FakeClock
 from repro.lab.farm import Coordinator, Worker, board_path, run_local
 from repro.lab.lease import LeaseBoard
 from repro.lab.net.client import HttpLeaseClient
-from repro.lab.net.flaky import FlakyProxy, scripted_plan, seeded_plan
 from repro.lab.net.server import LeaseServer
 from repro.lab.net.transport import (
     TransportError,
@@ -29,6 +28,8 @@ from repro.lab.net.transport import (
 from repro.lab.spec import bench_spec
 from repro.lab.store import ExportSource, ResultStore, StoreError
 from repro.util.stats import Stats
+
+from flaky_proxy import FlakyProxy, scripted_plan, seeded_plan
 
 CONFIG = config_for_scale("smoke")
 

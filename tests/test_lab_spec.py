@@ -7,12 +7,14 @@ journal rebuild its machines.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
 from repro.bench.runner import config_for_scale
 from repro.errors import ConfigError
 from repro.fuzz.sampling import CampaignSpec, sample_cases
+from repro.lab.gridfile import campaign_id, expand, load_grid
 from repro.lab.spec import (
     RunSpec,
     bench_spec,
@@ -22,6 +24,8 @@ from repro.lab.spec import (
     config_from_canonical,
     fuzz_spec,
 )
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _spec(**overrides):
@@ -91,6 +95,55 @@ class TestConfigRoundTrip:
         del payload["nvm"]
         with pytest.raises(ConfigError):
             config_from_canonical(payload)
+
+
+class TestRetiredTimingKeys:
+    """The deleted bank-level timing model's keys stay in every
+    canonical config at the values they were hashed with; a config
+    asking for a banked machine cannot be rebuilt."""
+
+    RETIRED = {"device_timing": False, "device_banks": 8,
+               "device_row_lines": 32}
+
+    def test_canonical_configs_carry_the_hashed_defaults(self):
+        payload = canonical_config(config_for_scale("smoke"))
+        assert {key: payload[key] for key in self.RETIRED} == self.RETIRED
+
+    @pytest.mark.parametrize("key, value", [
+        ("device_timing", True),
+        ("device_banks", 4),
+        ("device_row_lines", 64),
+    ])
+    def test_a_banked_config_is_refused(self, key, value):
+        payload = canonical_config(config_for_scale("smoke"))
+        payload[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_canonical(payload)
+
+
+class TestSpecFormatPins:
+    """Campaign ids hash every cell's canonical config, so they pin the
+    spec format: a config key added, dropped or renamed moves them all,
+    and with them every stored cell and journal."""
+
+    @pytest.mark.parametrize("grid, cid", [
+        ("paper", "10f719ec2076"),
+        ("paper-smoke", "6b19cf5256ff"),
+        ("table2", "e48739a7dc62"),
+        ("fig14b", "25434229dedd"),
+        ("fuzz-smoke", "634a38f2465c"),
+        ("grids/ci_smoke.json", "51a38370f2c7"),
+        ("grids/fuzz_nightly.json", "084608e1acbd"),
+    ])
+    def test_campaign_ids_are_pinned(self, grid, cid):
+        if grid.endswith(".json"):
+            grid = REPO / grid
+        assert campaign_id(expand(load_grid(grid))) == cid
+
+    @pytest.mark.parametrize("name", ["paper", "table2", "fig14b"])
+    def test_grid_files_equal_their_builtins(self, name):
+        from_file = expand(load_grid(REPO / "grids" / (name + ".json")))
+        assert from_file == expand(load_grid(name))
 
 
 class TestFuzzSpecs:

@@ -23,7 +23,11 @@ from repro.lab.cli import main as lab_main
 from repro.lab.clock import FakeClock
 from repro.lab.farm import run_local
 from repro.lab.gridfile import resolve_specs
-from repro.lab.scheduler import checkpoint_rates, read_journals
+from repro.lab.scheduler import (
+    InlineRunner,
+    checkpoint_rates,
+    read_journals,
+)
 from repro.lab.spec import bench_spec
 from repro.lab.store import ResultStore
 from repro.obs.catalog import lookup
@@ -358,6 +362,34 @@ class TestCheckpoints:
         stored = [c["stored"] for c in journal["checkpoints"]]
         assert stored == sorted(stored)
         assert stored[0] == 0 and stored[-1] == 3
+
+    def test_rate_counts_only_the_current_sitting(self, tmp_path):
+        """Two cells, an hour's pause, then a resume for two more: the
+        rate is the resumed sitting's, not the pause-diluted one."""
+
+        class OneSecondCells(InlineRunner):
+            def start(self, spec, clock):
+                clock.advance(1.0)
+                return super().start(spec, clock)
+
+        config = config_for_scale("smoke")
+        specs = [bench_spec(config, "wb", "array", 30, seed=seed)
+                 for seed in range(4)]
+        store = ResultStore(tmp_path / "store")
+        clock = FakeClock(start=100.0)
+        run_local(store, specs, name="chk", clock=clock,
+                  runner=OneSecondCells(), max_cells=2)
+        clock.advance(3600.0)
+        resumed_at = clock.wall()
+        run_local(store, specs, name="chk", clock=clock,
+                  runner=OneSecondCells())
+        (journal,) = read_journals(store)
+        last = journal["checkpoints"][-1]
+        assert last["stored"] == 4
+        throughput, eta, _stale = checkpoint_rates(journal)
+        assert throughput == pytest.approx(
+            2 / (last["wall_s"] - resumed_at))
+        assert eta == 0
 
     def test_status_cli_shows_rate_and_eta(self, tmp_path, capsys):
         specs = _real_specs(1)
