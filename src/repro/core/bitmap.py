@@ -69,37 +69,29 @@ class BitmapLineManager:
                     value: bool) -> None:
         # iterative bottom-up walk; the recursion this replaces spent
         # more time on call frames, property lookups and name
-        # formatting than on the bit math
-        registers = self._registers
-        adr_load = self.adr.load
-        adr_store = self.adr.store
+        # formatting than on the bit math. Words move only through
+        # _load and _store, the seams the sanitizer and the profiler
+        # wrap on the instance, so they are looked up per walk.
+        load = self._load
+        store = self._store
         stats_add = self.stats.add
         names = self._update_names
         fanout = self._fanout
         top = self._top_layer
         while True:
-            if layer == top:
-                word = registers.index_top_line
-                new_word = (word | (1 << bit)) if value \
-                    else (word & ~(1 << bit))
-                if new_word == word:
-                    return
-                stats_add(names[layer])
-                registers.index_top_line = new_word
-                return
-            key = (layer, line)
-            word = adr_load(key)
+            word = load(layer, line)
             new_word = (word | (1 << bit)) if value \
                 else (word & ~(1 << bit))
             if new_word == word:
                 return
             stats_add(names[layer])
-            adr_store(key, new_word)
+            store(layer, line, new_word)
             # propagate zero/non-zero transitions into the layer above:
             # setting a bit makes the parent bit 1 only when this word
             # was all-zero; clearing one makes it 0 only when the word
             # just became all-zero
-            if (word == 0) if value else (new_word == 0):
+            if layer != top and ((word == 0) if value
+                                 else (new_word == 0)):
                 layer += 1
                 bit = line % fanout
                 line = line // fanout
@@ -110,12 +102,12 @@ class BitmapLineManager:
     # line storage: on-chip register for the top layer, ADR otherwise
     # ------------------------------------------------------------------
     def _load(self, layer: int, line: int) -> int:
-        if self.index.is_on_chip(layer):
+        if layer == self._top_layer:
             return self._registers.index_top_line
         return self.adr.load((layer, line))
 
     def _store(self, layer: int, line: int, value: int) -> None:
-        if self.index.is_on_chip(layer):
+        if layer == self._top_layer:
             self._registers.index_top_line = value
         else:
             self.adr.store((layer, line), value)

@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--timeout", type=positive_float, default=None,
                       metavar="SECONDS",
                       help="per-cell timeout (needs --jobs > 1)")
-    work.add_argument("--lease", type=float, default=60.0,
+    work.add_argument("--lease", type=positive_float, default=60.0,
                       metavar="SECONDS",
                       help="lease duration to claim for (default 60; "
                            "must cover a cell + renewal slack)")

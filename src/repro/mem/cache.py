@@ -71,7 +71,10 @@ class SetAssociativeCache:
     # addressing
     # ------------------------------------------------------------------
     def set_index(self, addr: int) -> int:
-        """The set an address maps to (line-granular modulo mapping)."""
+        """The set an address maps to (line-granular modulo mapping).
+
+        The methods below inline it: they run on every CPU and
+        metadata-cache access."""
         return addr % self.num_sets
 
     # ------------------------------------------------------------------
@@ -79,19 +82,19 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line or ``None``; refresh LRU on hit."""
-        bucket = self._sets[self.set_index(addr)]
+        bucket = self._sets[addr % self.num_sets]
         line = bucket.get(addr)
         if line is not None and touch:
             bucket.move_to_end(addr)
         return line
 
     def __contains__(self, addr: int) -> bool:
-        return addr in self._sets[self.set_index(addr)]
+        return addr in self._sets[addr % self.num_sets]
 
     def insert(self, addr: int, payload: object = None,
                dirty: bool = False) -> None:
         """Install a line. The set must have room (use ``victim_for``)."""
-        bucket = self._sets[self.set_index(addr)]
+        bucket = self._sets[addr % self.num_sets]
         if addr in bucket:
             raise ReproError(
                 "%s: line %d already resident" % (self.name, addr)
@@ -107,7 +110,7 @@ class SetAssociativeCache:
 
     def remove(self, addr: int) -> CacheLine:
         """Remove and return a resident line."""
-        bucket = self._sets[self.set_index(addr)]
+        bucket = self._sets[addr % self.num_sets]
         line = bucket.pop(addr, None)
         if line is None:
             raise KeyError("%s: line %d not resident" % (self.name, addr))
@@ -122,7 +125,7 @@ class SetAssociativeCache:
         Returns ``None`` when the set has a free way. Skips pinned lines;
         raises :class:`EvictionDeadlock` when all ways are pinned.
         """
-        bucket = self._sets[self.set_index(addr)]
+        bucket = self._sets[addr % self.num_sets]
         if len(bucket) < self.ways:
             return None
         for line in bucket.values():  # LRU order: oldest first

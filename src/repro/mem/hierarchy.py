@@ -39,6 +39,13 @@ class MemoryEvent:
     """Line addresses written through to memory (persistent stores)."""
 
 
+_NOTHING: List[int] = []
+"""The one empty ``writebacks``/``persists`` list shared by every access
+that has none to report. Nothing may append to it: the hierarchy fills
+a fresh list for each access that can evict toward memory and builds
+the event only afterwards."""
+
+
 class CacheHierarchy:
     """An inclusive-fill, write-back, write-allocate hierarchy."""
 
@@ -72,13 +79,14 @@ class CacheHierarchy:
         hit_level = self._probe(addr)
         if hit_level is not None:
             self.stats.add("cpu.read_hits")
-            self._fill_through(addr, upto=hit_level, dirty=False)
-            return MemoryEvent(hit_level=hit_level)
+            if hit_level:
+                self._fill_through(addr, upto=hit_level, dirty=False)
+            return MemoryEvent(hit_level, 0, _NOTHING, _NOTHING)
         self.stats.add("cpu.read_misses")
-        event = MemoryEvent(hit_level=None, fills=1)
+        writebacks: List[int] = []
         self._fill_through(addr, upto=self.num_levels, dirty=False,
-                           event=event)
-        return event
+                           writebacks=writebacks)
+        return MemoryEvent(None, 1, writebacks, _NOTHING)
 
     def _persistent_write(self, addr: int) -> MemoryEvent:
         """A durable store: install clean everywhere, write through."""
@@ -87,15 +95,18 @@ class CacheHierarchy:
             self.stats.add("cpu.write_hits")
         else:
             self.stats.add("cpu.write_misses")
-        event = MemoryEvent(hit_level=hit_level, persists=[addr])
         upto = hit_level if hit_level is not None else self.num_levels
-        self._fill_through(addr, upto=upto, dirty=False, event=event)
+        writebacks = _NOTHING
+        if upto:
+            writebacks = []
+            self._fill_through(addr, upto=upto, dirty=False,
+                               writebacks=writebacks)
         # the write-through clears any stale dirtiness of this line
         for level in self._levels:
             line = level.lookup(addr, touch=False)
             if line is not None:
                 line.dirty = False
-        return event
+        return MemoryEvent(hit_level, 0, writebacks, [addr])
 
     def _scratch_write(self, addr: int) -> MemoryEvent:
         """A non-durable store: dirty in L1, written back on eviction."""
@@ -104,17 +115,21 @@ class CacheHierarchy:
             self.stats.add("cpu.write_hits")
         else:
             self.stats.add("cpu.write_misses")
-        event = MemoryEvent(hit_level=hit_level)
         if hit_level is None:
-            event.fills = 1
+            fills = 1
             upto = self.num_levels
         else:
+            fills = 0
             upto = hit_level
-        self._fill_through(addr, upto=upto, dirty=False, event=event)
+        writebacks = _NOTHING
+        if upto:
+            writebacks = []
+            self._fill_through(addr, upto=upto, dirty=False,
+                               writebacks=writebacks)
         line = self._levels[0].lookup(addr, touch=False)
         assert line is not None
         line.dirty = True
-        return event
+        return MemoryEvent(hit_level, fills, writebacks, _NOTHING)
 
     # ------------------------------------------------------------------
     # internals
@@ -126,8 +141,9 @@ class CacheHierarchy:
         return None
 
     def _fill_through(self, addr: int, upto: int, dirty: bool,
-                      event: Optional[MemoryEvent] = None) -> None:
-        """Install ``addr`` into levels [0, upto), evicting as needed."""
+                      writebacks: Optional[List[int]] = None) -> None:
+        """Install ``addr`` into levels [0, upto), evicting as needed;
+        LLC write-backs go to ``writebacks`` when one is given."""
         for index in range(min(upto, self.num_levels)):
             level = self._levels[index]
             if level.lookup(addr, touch=True) is not None:
@@ -135,19 +151,18 @@ class CacheHierarchy:
             victim = level.victim_for(addr)
             if victim is not None:
                 level.remove(victim.addr)
-                self._spill(index, victim.addr, victim.dirty, event)
+                if victim.dirty:
+                    self._spill(index, victim.addr, writebacks)
             level.insert(addr, dirty=dirty)
 
-    def _spill(self, from_level: int, addr: int, dirty: bool,
-               event: Optional[MemoryEvent]) -> None:
-        """Push an evicted line toward memory (write-back on dirty)."""
-        if not dirty:
-            return
+    def _spill(self, from_level: int, addr: int,
+               writebacks: Optional[List[int]]) -> None:
+        """Write a dirty evicted line back toward memory."""
         next_index = from_level + 1
         if next_index >= self.num_levels:
             self.stats.add("cpu.llc_writebacks")
-            if event is not None:
-                event.writebacks.append(addr)
+            if writebacks is not None:
+                writebacks.append(addr)
             return
         level = self._levels[next_index]
         line = level.lookup(addr, touch=False)
@@ -157,7 +172,8 @@ class CacheHierarchy:
         victim = level.victim_for(addr)
         if victim is not None:
             level.remove(victim.addr)
-            self._spill(next_index, victim.addr, victim.dirty, event)
+            if victim.dirty:
+                self._spill(next_index, victim.addr, writebacks)
         level.insert(addr, dirty=True)
 
     def drop(self) -> None:

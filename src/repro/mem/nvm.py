@@ -17,7 +17,11 @@ tests (Section III-E/F).
 Untouched lines read back as their "shredded" zero state: a fresh secure
 NVM is assumed to be initialized with zero counters (Silent Shredder);
 reads of never-written lines are flagged so the integrity machinery can
-skip MAC checks that would otherwise need a bootstrapping pass.
+skip MAC checks that would otherwise need a bootstrapping pass. The span
+reads (``read_data_span``, ``read_meta_span``) count one read per line
+of the span but return only the lines the store holds, so a scan over a
+whole region pays for every line while its host time follows the
+device's content.
 
 Every access method is hot (they ARE the simulator's traffic), so the
 per-region counters are bound once as Counter objects instead of going
@@ -30,13 +34,25 @@ life — the op clock of :mod:`repro.obs.tracing` spans.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.tree.node import DataLineImage, NodeImage
 from repro.util.stats import Stats
 
 BitmapLineKey = Tuple[int, int]
 """(layer, index) of a bitmap line in the multi-layer index."""
+
+
+def _held(store: Dict[int, Any], first: int,
+          count: int) -> Dict[int, Any]:
+    """The entries of ``store`` keyed in ``[first, first + count)``,
+    found by whichever of the range and the store is smaller."""
+    end = first + count
+    if count < len(store):
+        return {line: store[line]
+                for line in range(first, end) if line in store}
+    return {line: image for line, image in store.items()
+            if first <= line < end}
 
 
 class NVM:
@@ -119,6 +135,14 @@ class NVM:
         self._data[destination] = content
         return True
 
+    def read_data_span(self, first: int,
+                       count: int) -> Dict[int, DataLineImage]:
+        """Read the ``count`` data lines from ``first`` on, counted as
+        ``count`` :meth:`read_data` calls; ``{line: image}`` holds the
+        lines that were ever written."""
+        self._c_data_reads.value += count
+        return _held(self._data, first, count)
+
     def peek_data(self, line: int) -> Optional[DataLineImage]:
         """Read without counting traffic (test oracles, attackers)."""
         return self._data.get(line)
@@ -137,6 +161,14 @@ class NVM:
         if image is None:
             return NodeImage.zero(), False
         return image, True
+
+    def read_meta_span(self, first: int,
+                       count: int) -> Dict[int, NodeImage]:
+        """Read the ``count`` metadata lines from ``first`` on, counted
+        as ``count`` :meth:`read_meta` calls; ``{line: image}`` holds
+        the touched lines (the rest read as the zero image)."""
+        self._c_meta_reads.value += count
+        return _held(self._meta, first, count)
 
     def write_meta(self, meta_index: int, image: NodeImage) -> None:
         self._c_meta_writes.value += 1

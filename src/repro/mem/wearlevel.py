@@ -24,7 +24,7 @@ read + write, counted as regular traffic.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mem.nvm import NVM
 from repro.tree.node import DataLineImage
@@ -105,6 +105,16 @@ class WearLevelingNVM(NVM):
 
     def read_data(self, line: int) -> Optional[DataLineImage]:
         return super().read_data(self.remapper.translate(line))
+
+    def read_data_span(self, first: int,
+                       count: int) -> Dict[int, DataLineImage]:
+        # line by line, so images come back under their logical numbers
+        images = {}
+        for line in range(first, first + count):
+            image = self.read_data(line)
+            if image is not None:
+                images[line] = image
+        return images
 
     def peek_data(self, line: int) -> Optional[DataLineImage]:
         return super().peek_data(self.remapper.translate(line))

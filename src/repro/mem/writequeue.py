@@ -87,25 +87,36 @@ class WritePendingQueue:
         holds for non-decreasing ``now_ns``, which is enforced —
         out-of-order observation raises ``ValueError``.
         """
-        self._advance_clock(now_ns)
-        self._retire(now_ns)
+        # _advance_clock and _retire inlined: this runs per NVM write
+        # (_advance_clock still raises for time going backwards)
+        if now_ns < self._clock_ns:
+            self._advance_clock(now_ns)
+        self._clock_ns = now_ns
+        completions = self._completions
+        while completions and completions[0] <= now_ns:
+            completions.popleft()
         if self._occupancy_hist is not None:
-            self._occupancy_hist.observe(len(self._completions))
+            self._occupancy_hist.observe(len(completions))
         stall_ns = 0.0
-        if len(self._completions) >= self.capacity:
+        if len(completions) >= self.capacity:
             if self.stats is not None:
                 self.stats.add("wpq.full_stalls")
-            head_ns = self._completions[0]
+            head_ns = completions[0]
             stall_ns = head_ns - now_ns
             # retire by the head's own time: now + (head - now) can
             # round below head and leave the queue over capacity
-            self._retire(head_ns)
+            while completions and completions[0] <= head_ns:
+                completions.popleft()
         issue_ns = now_ns + stall_ns
-        port = min(range(self.ports), key=self._port_free_ns.__getitem__)
-        start_ns = max(issue_ns, self._port_free_ns[port])
+        port_free_ns = self._port_free_ns
+        if self.ports == 1:
+            port = 0
+        else:
+            port = min(range(self.ports), key=port_free_ns.__getitem__)
+        start_ns = max(issue_ns, port_free_ns[port])
         completion_ns = start_ns + self.service_ns
-        self._port_free_ns[port] = completion_ns
-        self._completions.append(completion_ns)
+        port_free_ns[port] = completion_ns
+        completions.append(completion_ns)
         return stall_ns, completion_ns
 
     def drain_time(self, now_ns: float) -> float:

@@ -24,6 +24,10 @@ hook                      fired when
 ``on_crash``              power fails: flush whatever the scheme keeps in ADR
 ========================  ====================================================
 
+The controller decides once, from the scheme's class, which of the
+runtime hooks (:data:`RUNTIME_HOOKS`) override the no-ops below, and
+calls only those (:func:`overridden_hooks`).
+
 Telemetry: every hook runs with the machine's
 :class:`~repro.util.stats.Stats` at hand (``self.controller.stats``),
 whose registry also carries histograms, spans and the structured event
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, FrozenSet, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import RecoveryError
 from repro.tree.geometry import NodeId
@@ -145,3 +149,20 @@ class PersistenceScheme(ABC):
         )
 
 
+RUNTIME_HOOKS = (
+    "on_dirty_transition", "on_parent_modified", "on_data_persist",
+    "on_metadata_persist", "after_data_write", "on_cache_install",
+    "on_cache_evict",
+)
+"""The hooks the controller fires while a trace runs."""
+
+
+def overridden_hooks(scheme_type: type) -> FrozenSet[str]:
+    """The :data:`RUNTIME_HOOKS` that ``scheme_type`` overrides; the
+    controller skips the rest, which are :class:`PersistenceScheme`'s
+    no-ops."""
+    return frozenset(
+        name for name in RUNTIME_HOOKS
+        if getattr(scheme_type, name) is not getattr(PersistenceScheme,
+                                                     name)
+    )

@@ -13,7 +13,10 @@ removes the extra writes of the whole tree, including the counter
 blocks and intermediate tree nodes". This implementation reproduces
 that contrast: Phoenix lands between Anubis and STAR in write traffic,
 and its recovery must probe every counter block (it cannot tell stale
-from fresh ones) where STAR walks its bitmap index.
+from fresh ones) where STAR walks its bitmap index. The model charges
+that probe in full, one NVM read per counter block and per data line;
+only the simulator's host work skips the blocks the NVM holds nothing
+for.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, Optional, Tuple
 from repro.schemes.anubis import AnubisScheme
 from repro.schemes.base import RecoveryReport
 from repro.tree.geometry import NodeId
-from repro.tree.node import CachedNode
+from repro.tree.node import CachedNode, DataLineImage, NodeImage
 
 
 class PhoenixScheme(AnubisScheme):
@@ -80,12 +83,25 @@ class PhoenixScheme(AnubisScheme):
         stats = nvm.stats
         with stats.span("recovery.phoenix.probe",
                         blocks=probed_blocks) as probe_span:
-            for index in range(probed_blocks):
-                block_id = (0, index)
-                line = geometry.meta_index(block_id)
-                stale, _touched = nvm.read_meta(line)
+            # the probe pays one read per counter block and one per
+            # data line; the span reads charge exactly that (level 0
+            # leads the flat metadata index, so block i is line i)
+            blocks = nvm.read_meta_span(0, probed_blocks)
+            data = nvm.read_data_span(0, geometry.num_data_lines)
+            # A block with no metadata image, no data line and no entry
+            # in ``restored`` probes to its zero image: zero counters, no
+            # failure, nothing to restore. Skipping it changes nothing
+            # but host time, so only blocks with content are walked.
+            walked = set(blocks)
+            walked.update(line // geometry.arity for line in data)
+            walked.update(line for line in restored if line < probed_blocks)
+            for line in sorted(walked):
+                block_id = (0, line)
+                stale = blocks.get(line)
+                if stale is None:
+                    stale = NodeImage.zero()
                 counters, failures = self._probe_block(
-                    machine, block_id, stale
+                    machine, block_id, stale, data
                 )
                 probe_failures += failures
                 if counters != stale.counters:
@@ -132,9 +148,11 @@ class PhoenixScheme(AnubisScheme):
             probed_stale_lines=probed_stale,
         )
 
-    def _probe_block(self, machine, block_id: NodeId,
-                     stale) -> Tuple[Tuple[int, ...], int]:
-        """Osiris-style reconstruction of one counter block."""
+    def _probe_block(self, machine, block_id: NodeId, stale: NodeImage,
+                     data: Dict[int, DataLineImage],
+                     ) -> Tuple[Tuple[int, ...], int]:
+        """Osiris-style reconstruction of one counter block against
+        ``data``, the images of the data lines the NVM holds."""
         nvm = machine.nvm
         geometry = machine.controller.geometry
         auth = machine.controller.auth
@@ -144,7 +162,7 @@ class PhoenixScheme(AnubisScheme):
         for slot in range(geometry.arity):
             if slot >= len(children):
                 continue
-            image = nvm.read_data(children[slot])
+            image = data.get(children[slot])
             if image is None:
                 if stale.counters[slot] != 0:
                     # the persisted counter says this line was written,

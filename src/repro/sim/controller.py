@@ -35,6 +35,7 @@ from repro.errors import ConfigError, IntegrityError
 from repro.mem.cache import SetAssociativeCache, CacheLine
 from repro.mem.layout import MemoryLayout
 from repro.mem.nvm import NVM
+from repro.schemes.base import overridden_hooks
 from repro.sim.registers import OnChipRegisters
 from repro.tree.geometry import NodeId
 from repro.tree.node import CachedNode, NodeImage
@@ -88,6 +89,16 @@ class SecureMemoryController:
             if registry.enabled else None
         )
         self.scheme = scheme
+        # decided once from the scheme's type: a hook the scheme leaves
+        # at PersistenceScheme's no-op is never called
+        hooks = overridden_hooks(type(scheme))
+        self._hook_dirty = "on_dirty_transition" in hooks
+        self._hook_modified = "on_parent_modified" in hooks
+        self._hook_data_persist = "on_data_persist" in hooks
+        self._hook_meta_persist = "on_metadata_persist" in hooks
+        self._hook_after_write = "after_data_write" in hooks
+        self._hook_install = "on_cache_install" in hooks
+        self._hook_evict = "on_cache_evict" in hooks
         scheme.attach(self)
 
     # ==================================================================
@@ -106,25 +117,30 @@ class SecureMemoryController:
             plaintext = ZERO_LINE
         pins: List[int] = []
         try:
-            cb_id = self.geometry.counter_block_for(address)
+            geometry = self.geometry
+            cb_id = geometry.counter_block_for(address)
+            cb_addr = geometry.meta_index(cb_id)
             block = self._get_node(cb_id, pins)
-            self._pin(self.geometry.meta_index(cb_id), pins)
-            slot = self.geometry.data_slot(address)
+            self._pin(cb_addr, pins)
+            slot = geometry.data_slot(address)
             block.increment(slot)
-            self._mark_dirty(cb_id)
-            self.scheme.on_parent_modified(cb_id, block, slot)
+            self._mark_dirty(cb_addr)
+            if self._hook_modified:
+                self.scheme.on_parent_modified(cb_id, block, slot)
             counter = block.counters[slot]
             ciphertext = self.cme.encrypt(plaintext, address, counter)
             image = self.auth.make_data_image(address, ciphertext, counter)
             self.nvm.write_data(address, image)
             self.stats.add("ctrl.data_writes")
-            self.scheme.on_data_persist(address, image)
+            if self._hook_data_persist:
+                self.scheme.on_data_persist(address, image)
             if block.drift(slot) >= self._flush_threshold:
                 self.stats.add("ctrl.force_flushes")
                 self.stats.event("force_flush", level=cb_id[0],
                                  index=cb_id[1], slot=slot)
                 self._persist_node(cb_id, block, pins)
-            self.scheme.after_data_write(address, cb_id)
+            if self._hook_after_write:
+                self.scheme.after_data_write(address, cb_id)
         finally:
             self._unpin_all(pins)
 
@@ -345,7 +361,8 @@ class SecureMemoryController:
                                    self._peek_parent_counter(node_id))
         cached = CachedNode.from_image(image)
         self.meta_cache.insert(addr, cached)
-        self.scheme.on_cache_install(addr)
+        if self._hook_install:
+            self.scheme.on_cache_install(addr)
         return cached
 
     def _evict_line(self, victim: CacheLine, pins: List[int]) -> None:
@@ -362,11 +379,11 @@ class SecureMemoryController:
             finally:
                 self.meta_cache.unpin(victim.addr)
         self.meta_cache.remove(victim.addr)
-        self.scheme.on_cache_evict(victim.addr)
+        if self._hook_evict:
+            self.scheme.on_cache_evict(victim.addr)
 
-    def _mark_dirty(self, node_id: NodeId) -> None:
-        addr = self.geometry.meta_index(node_id)
-        if self.meta_cache.mark_dirty(addr):
+    def _mark_dirty(self, addr: int) -> None:
+        if self.meta_cache.mark_dirty(addr) and self._hook_dirty:
             self.scheme.on_dirty_transition(addr, True)
 
     def _persist_node(self, node_id: NodeId, cached: CachedNode,
@@ -397,27 +414,30 @@ class SecureMemoryController:
 
     def _persist_node_inner(self, node_id: NodeId, cached: CachedNode,
                             pins: List[int]) -> None:
-        addr = self.geometry.meta_index(node_id)
-        if self.geometry.is_top_level(node_id):
+        geometry = self.geometry
+        addr = geometry.meta_index(node_id)
+        if geometry.is_top_level(node_id):
             slot = node_id[1]
             root = self.registers.sit_root
             root.increment(slot)
             self.stats.add("ctrl.root_child_persists")
-            self.scheme.on_parent_modified(None, root, slot)
+            if self._hook_modified:
+                self.scheme.on_parent_modified(None, root, slot)
             self._write_node_image(node_id, addr, cached,
                                    root.counters[slot])
             return
-        parent_id = self.geometry.parent_of(node_id)
+        parent_id = geometry.parent_of(node_id)
         parent = self._get_node(parent_id, pins)
-        parent_addr = self.geometry.meta_index(parent_id)
+        parent_addr = geometry.meta_index(parent_id)
         # scoped pin: the parent must stay resident while its counter
         # is used, but not for the rest of the outer operation
         self.meta_cache.pin(parent_addr)
         try:
-            slot = self.geometry.slot_in_parent(node_id)
+            slot = geometry.slot_in_parent(node_id)
             parent.increment(slot)
-            self._mark_dirty(parent_id)
-            self.scheme.on_parent_modified(parent_id, parent, slot)
+            self._mark_dirty(parent_addr)
+            if self._hook_modified:
+                self.scheme.on_parent_modified(parent_id, parent, slot)
             self._write_node_image(node_id, addr, cached,
                                    parent.counters[slot])
             if parent.drift(slot) >= self._flush_threshold:
@@ -447,11 +467,13 @@ class SecureMemoryController:
         counter.inc()
         if self._persist_level_hist is not None:
             self._persist_level_hist.observe(level)
-        self.scheme.on_metadata_persist(node_id, image)
+        if self._hook_meta_persist:
+            self.scheme.on_metadata_persist(node_id, image)
         line = self.meta_cache.lookup(addr, touch=False)
         if line is not None and line.dirty:
             line.dirty = False
-            self.scheme.on_dirty_transition(addr, False)
+            if self._hook_dirty:
+                self.scheme.on_dirty_transition(addr, False)
 
     # ------------------------------------------------------------------
     # traffic-free peeks (hardware state inspection)

@@ -35,6 +35,9 @@ from repro.sim.timing import TimingModel
 from repro.util.stats import Stats
 from repro.workloads.trace import Op, OpKind
 
+_READ = OpKind.READ
+_PERSIST = OpKind.PERSIST
+
 PROFILED_PHASES = (
     # (machine attribute, method, span name)
     ("controller", "write_data", "ctrl.write_data"),
@@ -142,46 +145,46 @@ class Machine:
     def apply(self, op: Op) -> None:
         if self.crashed:
             raise RecoveryError("machine has crashed; recover first")
-        self.timing.advance_instructions(op.instructions)
-        if op.kind is OpKind.PERSIST:
-            self.timing.persist_barrier()
+        timing = self.timing
+        timing.advance_instructions(op.instructions)
+        kind = op.kind
+        if kind is _PERSIST:
+            timing.persist_barrier()
             return
-        if op.kind is OpKind.READ:
-            self._apply_read(op.addr)
+        addr = op.addr
+        # the controller's entry points are looked up per call:
+        # ``profile=True`` wraps them on the instance
+        if kind is _READ:
+            event = self.hierarchy.access(addr, is_write=False)
+            if event.hit_level is not None:
+                timing.cache_hit(event.hit_level)
+            else:
+                self._charged(self.controller.read_data, addr)
         else:
-            self._apply_write(op.addr, op.persistent)
-
-    def _apply_read(self, addr: int) -> None:
-        event = self.hierarchy.access(addr, is_write=False)
-        if event.hit_level is not None:
-            self.timing.cache_hit(event.hit_level)
-        else:
-            self._charged(self.controller.read_data, addr)
-        self._service_writebacks(event.writebacks)
-
-    def _apply_write(self, addr: int, persistent: bool) -> None:
-        event = self.hierarchy.access(
-            addr, is_write=True, persistent=persistent
-        )
-        if event.hit_level is not None:
-            self.timing.cache_hit(event.hit_level)
-        if event.fills:
-            self._charged(self.controller.read_data, addr)
-        for line in event.persists:
-            self._charged(self.controller.write_data, line)
-        self._service_writebacks(event.writebacks)
-
-    def _service_writebacks(self, lines) -> None:
-        for line in lines:
+            event = self.hierarchy.access(
+                addr, is_write=True, persistent=op.persistent
+            )
+            if event.hit_level is not None:
+                timing.cache_hit(event.hit_level)
+            if event.fills:
+                self._charged(self.controller.read_data, addr)
+            for line in event.persists:
+                self._charged(self.controller.write_data, line)
+        for line in event.writebacks:
             self._charged(self.controller.write_data, line)
 
     def _charged(self, operation, addr: int) -> None:
         """Run a controller operation and charge its NVM traffic."""
-        reads_before = self.nvm.total_reads()
-        writes_before = self.nvm.total_writes()
+        nvm = self.nvm
+        reads_before = nvm.total_reads()
+        writes_before = nvm.total_writes()
         operation(addr)
-        self.timing.memory_reads(self.nvm.total_reads() - reads_before)
-        self.timing.memory_writes(self.nvm.total_writes() - writes_before)
+        reads = nvm.total_reads() - reads_before
+        if reads:
+            self.timing.memory_reads(reads)
+        writes = nvm.total_writes() - writes_before
+        if writes:
+            self.timing.memory_writes(writes)
 
     # ==================================================================
     # crash / recovery lifecycle

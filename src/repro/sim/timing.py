@@ -32,6 +32,10 @@ class TimingModel:
         self.read_stall_ns = 0.0
         self.write_stall_ns = 0.0
         self.barrier_stall_ns = 0.0
+        # bound once: every op advances the clock through these
+        self._base_cpi = cpu.base_cpi
+        self._cycle_ns = cpu.cycle_ns
+        self._read_latency_ns = nvm.read_latency_ns
         self.wpq = WritePendingQueue(
             cpu.write_queue_entries, nvm.t_wr_ns, cpu.write_ports,
             stats=stats,
@@ -45,7 +49,7 @@ class TimingModel:
         if count < 0:
             raise ValueError("instruction count must be non-negative")
         self.instructions += count
-        self.now_ns += count * self.cpu.base_cpi * self.cpu.cycle_ns
+        self.now_ns += count * self._base_cpi * self._cycle_ns
 
     def cache_hit(self, level: int) -> None:
         """A load served by cache level ``level`` (0-based)."""
@@ -55,14 +59,15 @@ class TimingModel:
         """``count`` demand NVM line reads on the critical path."""
         if count <= 0:
             return
-        stall = count * self.nvm.read_latency_ns
+        stall = count * self._read_latency_ns
         self.read_stall_ns += stall
         self.now_ns += stall
 
     def memory_writes(self, count: int) -> None:
         """``count`` NVM line writes entering the write-pending queue."""
+        enqueue = self.wpq.enqueue
         for _ in range(count):
-            stall, _completion = self.wpq.enqueue(self.now_ns)
+            stall, _completion = enqueue(self.now_ns)
             self.write_stall_ns += stall
             self.now_ns += stall
 

@@ -7,8 +7,14 @@ import pytest
 from repro.config import small_config
 from repro.errors import IntegrityError
 from repro.mem.nvm import NVM
+from repro.schemes import SIT_SCHEMES
+from repro.schemes.base import RUNTIME_HOOKS, PersistenceScheme
 from repro.schemes.writeback import WriteBackScheme
 from repro.sim.controller import SecureMemoryController, ZERO_LINE
+from repro.sim.machine import Machine
+from repro.tree.node import CachedNode
+
+from conftest import run_small_workload
 
 
 def make_controller(config=None):
@@ -265,3 +271,55 @@ class TestInspection:
         before = controller.current_node_mac(cb_id)
         controller.write_data(0)
         assert controller.current_node_mac(cb_id) != before
+
+
+def _recording(base, hooks):
+    """A subclass of ``base`` whose ``hooks`` log every call (cached
+    nodes by their counters at the time of the call) before deferring
+    to ``base``."""
+    def recorder(name):
+        def hook(self, *args):
+            self.calls.append((name,) + tuple(
+                tuple(arg.counters) if isinstance(arg, CachedNode)
+                else arg for arg in args))
+            return getattr(base, name)(self, *args)
+        return hook
+
+    cls = type("Recording" + base.__name__, (base,),
+               {name: recorder(name) for name in hooks})
+    scheme = cls()
+    scheme.calls = []
+    return scheme
+
+
+def _hook_run(scheme):
+    machine = Machine(small_config(), scheme=scheme, telemetry=False)
+    run_small_workload(machine, "hash", operations=150, seed=3)
+    return machine.stats.snapshot(), machine.nvm.accesses()
+
+
+class TestHookDispatch:
+    """The controller calls only the hooks a scheme's type overrides;
+    skipping ``PersistenceScheme``'s no-ops must change nothing."""
+
+    @pytest.mark.parametrize("name", sorted(SIT_SCHEMES))
+    def test_an_overridden_hook_sees_every_call(self, name):
+        base = SIT_SCHEMES[name]
+        every = _recording(base, RUNTIME_HOOKS)
+        observables = _hook_run(every)
+        assert _hook_run(base()) == observables
+        assert {call[0] for call in every.calls} == set(RUNTIME_HOOKS)
+        for hook in RUNTIME_HOOKS:
+            one = _recording(base, [hook])
+            assert _hook_run(one) == observables
+            assert one.calls == [call for call in every.calls
+                                 if call[0] == hook], hook
+
+    def test_writeback_never_enters_a_base_hook(self, monkeypatch):
+        entered = []
+        for hook in RUNTIME_HOOKS:
+            monkeypatch.setattr(
+                PersistenceScheme, hook,
+                lambda self, *args, _hook=hook: entered.append(_hook))
+        _hook_run(WriteBackScheme())
+        assert entered == []

@@ -284,6 +284,10 @@ class TestUsageErrors:
         (["work", "--poll", "0"], "--poll"),
         (["work", "--poll", "-1"], "--poll"),
         (["work", "--poll", "nan"], "--poll"),
+        # a lease no claim can hold
+        (["work", "--lease", "0"], "--lease"),
+        (["work", "--lease", "-5"], "--lease"),
+        (["work", "--lease", "nan"], "--lease"),
     ])
     def test_bad_values_exit_2_with_a_message(
             self, argv, flag, grid_path, tmp_path, capsys):

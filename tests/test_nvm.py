@@ -1,5 +1,7 @@
 """Unit tests for the NVM device model."""
 
+import pytest
+
 from repro.mem.nvm import NVM
 from repro.tree.node import DataLineImage, NodeImage
 
@@ -34,6 +36,42 @@ class TestDataRegion:
         nvm.write_data(1, _data())
         nvm.peek_data(1)
         assert nvm.stats["nvm.data_reads"] == 0
+
+
+class TestSpanReads:
+    """``read_*_span`` count like ``count`` single-line reads and return
+    exactly the images those reads would, keyed by line."""
+
+    @pytest.mark.parametrize("first, count", [
+        (0, 16), (3, 4), (5, 1), (6, 0), (12, 30),
+    ])
+    def test_data_span_matches_line_reads(self, first, count):
+        spanned, lined = NVM(), NVM()
+        for nvm in (spanned, lined):
+            for line in (0, 4, 5, 9, 15, 40):
+                nvm.write_data(line, _data(line))
+        expected = {}
+        for line in range(first, first + count):
+            image = lined.read_data(line)
+            if image is not None:
+                expected[line] = image
+        assert spanned.read_data_span(first, count) == expected
+        assert spanned.stats["nvm.data_reads"] == count
+        assert spanned.stats.snapshot() == lined.stats.snapshot()
+
+    @pytest.mark.parametrize("first, count", [(0, 8), (2, 3), (7, 20)])
+    def test_meta_span_matches_line_reads(self, first, count):
+        nvm = NVM()
+        for line in (1, 2, 8, 30):
+            nvm.write_meta(line, _node())
+        images = nvm.read_meta_span(first, count)
+        assert nvm.stats["nvm.meta_reads"] == count
+        for line in range(first, first + count):
+            image, touched = nvm.read_meta(line)
+            assert (line in images) == touched
+            if touched:
+                assert images[line] == image
+        assert set(images) <= set(range(first, first + count))
 
 
 class TestMetaRegion:

@@ -76,6 +76,18 @@ class TestPhaseProfiler:
         names = {span.name for span in all_spans(run_tracer)}
         assert EXPECTED_PHASES <= names
 
+    def test_bitmap_walk_records_adr_load_spans(self):
+        """STAR's bitmap walk loads words through ``_load``, which the
+        profiler wraps as ``adr.load`` inside ``bitmap.maintain``."""
+        machine = profiled_run(operations=300, seed=1, crash=False)
+        spans = all_spans(machine.stats.registry.tracer)
+        loads = [span for span in spans if span.name == "adr.load"]
+        assert loads
+        assert all(
+            any(child.name == "adr.load" for child in span.children)
+            for span in spans if span.name == "bitmap.maintain"
+        )
+
     def test_trace_is_bit_identical_across_same_seed_runs(self):
         first = chrome_trace(tracers(profiled_run()))
         second = chrome_trace(tracers(profiled_run()))

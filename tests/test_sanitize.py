@@ -13,7 +13,7 @@ from repro.config import small_config
 from repro.fuzz.executor import run_case
 from repro.fuzz.sampling import FuzzCase
 from repro.sim.machine import Machine
-from repro.sim.sanitize import SanitizeError
+from repro.sim.sanitize import SanitizeError, Sanitizer
 from repro.tree.node import DataLineImage, NodeImage
 from repro.tree.sit import SITAuthenticator
 from repro.workloads.registry import make_workload
@@ -104,6 +104,28 @@ class TestInjectedViolations:
             bitmap._store(0, 0, 1)
         with pytest.raises(SanitizeError, match="outside layer"):
             bitmap._store(1, 10 ** 9, 1)
+
+    def test_every_bitmap_line_update_is_checked(self, monkeypatch):
+        """The runtime bitmap walk stores through ``_store``, the seam
+        the bitmap-word check wraps: every line update below the
+        on-chip top layer passes the check."""
+        checked = []
+        real = Sanitizer._check_bitmap_word
+
+        def counting(self, bitmap, layer, line, value):
+            checked.append(layer)
+            real(self, bitmap, layer, line, value)
+
+        monkeypatch.setattr(Sanitizer, "_check_bitmap_word", counting)
+        machine = Machine(small_config(), scheme="star", sanitize=True)
+        workload = make_workload("hash", machine.config.num_data_lines,
+                                 operations=300, seed=1)
+        machine.run(workload.ops())
+        top = machine.scheme.bitmap.index.top_layer
+        below_top = sum(machine.stats["bitmap.line_updates.l%d" % layer]
+                        for layer in range(1, top))
+        assert below_top > 0
+        assert sum(1 for layer in checked if layer < top) >= below_top
 
     def test_broken_synergization_minting(self, monkeypatch):
         machine = sanitized_machine()

@@ -98,6 +98,29 @@ class TestWearLevelingNVM:
         # wear lands on the migration destination
         assert nvm.wear[("data", 4)] == 1
 
+    def test_span_read_returns_logical_lines_after_gap_moves(self):
+        """Once the gap has moved past written lines, their physical
+        slots differ from their logical numbers; the span read still
+        answers under the logical numbers, one counted read per line."""
+        nvm = WearLevelingNVM(8, gap_write_interval=1)
+        for step in range(11):
+            nvm.write_data((step * 3) % 8, _image(step))
+        assert nvm.remapper.gap_moves == 11
+        assert nvm.remapper.start == 1  # a full rotation wrapped once
+        moved = [line for line in range(8)
+                 if nvm.remapper.translate(line) != line]
+        assert moved and all(nvm.peek_data(line) is not None
+                             for line in moved)
+        for first, count in ((0, 8), (2, 5), (7, 1)):
+            reads = nvm.stats["nvm.data_reads"]
+            images = nvm.read_data_span(first, count)
+            assert nvm.stats["nvm.data_reads"] == reads + count
+            assert images == {
+                line: nvm.peek_data(line)
+                for line in range(first, first + count)
+                if nvm.peek_data(line) is not None
+            }
+
     def test_migration_of_an_empty_slot_is_free(self):
         nvm = WearLevelingNVM(8, gap_write_interval=10 ** 9)
         assert not nvm.migrate_data(5, 8)
