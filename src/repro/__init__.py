@@ -19,8 +19,6 @@ paper-vs-measured record of every table and figure.
 
 from repro.config import (
     CacheConfig,
-    CPUConfig,
-    NVMTimings,
     StarConfig,
     SystemConfig,
     paper_config,
@@ -51,14 +49,12 @@ __all__ = [
     "ALL_WORKLOADS",
     "AllocationError",
     "Attacker",
-    "CPUConfig",
     "CacheConfig",
     "ConfigError",
     "IntegrityError",
     "MACRO_WORKLOADS",
     "MICRO_WORKLOADS",
     "Machine",
-    "NVMTimings",
     "RecoveryError",
     "RecoveryReport",
     "ReproError",

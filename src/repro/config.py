@@ -1,9 +1,10 @@
 """System configuration (the paper's Table I, made programmable).
 
-Every structural parameter of the simulated machine lives here: NVM
-capacity and PCM timings, the CPU cache hierarchy, the security-metadata
-cache in the memory controller, and the STAR-specific parameters (bitmap
-lines in ADR, multi-layer index fanout, MAC/LSB bit widths).
+A :class:`SystemConfig` holds what a run varies: NVM capacity, the CPU
+cache and security-metadata cache geometries, and STAR's ADR budget and
+bitmap fanout. What the paper fixes is a constant: the line size, SIT
+arity and MAC/LSB bit widths here, the PCM and core timings in
+:mod:`repro.sim.timing` and the PCM energies in :mod:`repro.sim.energy`.
 
 Two factory functions cover the common cases:
 
@@ -41,6 +42,10 @@ LSB_BITS = MAC_FIELD_BITS - MAC_BITS
 BITMAP_FANOUT = LINE_SIZE * 8
 """Lines covered by one bitmap line: 512 bits -> 512 metadata lines."""
 
+LINE_ACCESS_NS = 100.0
+"""The per-64B-line NVM access cost the paper assumes for recovery time
+(Section IV-F): measured and projected recovery both charge it."""
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -74,13 +79,12 @@ class CacheConfig:
 
     size_bytes: int
     ways: int
-    line_size: int = LINE_SIZE
 
     def __post_init__(self) -> None:
         _require(self.size_bytes > 0, "cache size must be positive")
         _require(self.ways > 0, "cache must have at least one way")
         _require(
-            self.size_bytes % (self.ways * self.line_size) == 0,
+            self.size_bytes % (self.ways * LINE_SIZE) == 0,
             "cache size must be a multiple of ways * line size",
         )
         _require(
@@ -91,68 +95,11 @@ class CacheConfig:
 
     @property
     def num_lines(self) -> int:
-        return self.size_bytes // self.line_size
+        return self.size_bytes // LINE_SIZE
 
     @property
     def num_sets(self) -> int:
-        return self.size_bytes // (self.ways * self.line_size)
-
-
-@dataclass(frozen=True)
-class NVMTimings:
-    """PCM latency (ns) and energy (nJ / 64B line) parameters.
-
-    The latency values follow Table I (tRCD/tCL/tCWD/tFAW/tWTR/tWR =
-    48/15/13/50/7.5/300 ns). Energy uses the asymmetric read/write values
-    common to the PCM literature; all evaluation results that use them are
-    reported normalized to the write-back baseline.
-    """
-
-    t_rcd_ns: float = 48.0
-    t_cl_ns: float = 15.0
-    t_cwd_ns: float = 13.0
-    t_faw_ns: float = 50.0
-    t_wtr_ns: float = 7.5
-    t_wr_ns: float = 300.0
-    read_energy_nj: float = 0.5
-    write_energy_nj: float = 2.5
-    static_power_w: float = 0.002
-    """Background (peripheral/refresh-free standby) power at sim scale.
-
-    NVMain reports background energy alongside access energy; without it
-    a traffic-only model over-attributes energy to write amplification.
-    The value is calibrated so background and dynamic energy are of the
-    same order for the write-back baseline at the default experiment
-    scale, which is where the paper's normalized numbers sit.
-    """
-
-    @property
-    def read_latency_ns(self) -> float:
-        """Array read latency seen by a demand miss."""
-        return self.t_rcd_ns + self.t_cl_ns
-
-    @property
-    def write_latency_ns(self) -> float:
-        """Cell write service time (the long PCM write pulse)."""
-        return self.t_wr_ns
-
-
-@dataclass(frozen=True)
-class CPUConfig:
-    """A simple in-order multi-core model used for relative IPC."""
-
-    cores: int = 8
-    freq_ghz: float = 2.0
-    base_cpi: float = 1.0
-    write_queue_entries: int = 32
-    write_ports: int = 1
-    """Parallel PCM banks draining the write-pending queue."""
-    sfence_ns: float = 10.0
-    """Fixed pipeline cost of the ordering fence itself."""
-
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.freq_ghz
+        return self.size_bytes // (self.ways * LINE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -161,17 +108,10 @@ class StarConfig:
 
     adr_bitmap_lines: int = 16
     bitmap_fanout: int = BITMAP_FANOUT
-    cache_tree_arity: int = TREE_ARITY
-    lsb_bits: int = LSB_BITS
-    counter_flush_threshold: int = (1 << LSB_BITS) - 1
 
     def __post_init__(self) -> None:
         _require(self.adr_bitmap_lines >= 1, "need at least one ADR line")
         _require(self.bitmap_fanout > 1, "bitmap fanout must exceed 1")
-        _require(
-            0 < self.counter_flush_threshold < (1 << self.lsb_bits),
-            "flush threshold must be below the LSB wrap-around",
-        )
 
 
 @dataclass(frozen=True)
@@ -183,10 +123,7 @@ class SystemConfig:
     llc: CacheConfig
     l2: CacheConfig = None  # type: ignore[assignment]
     l1: CacheConfig = None  # type: ignore[assignment]
-    nvm: NVMTimings = field(default_factory=NVMTimings)
-    cpu: CPUConfig = field(default_factory=CPUConfig)
     star: StarConfig = field(default_factory=StarConfig)
-    recovery_line_access_ns: float = 100.0
     crypto_key: bytes = b"star-reproduction-key"
 
     def __post_init__(self) -> None:

@@ -33,13 +33,11 @@ MacEntry = Tuple[int, int]
 class CacheTree:
     """Computes set-MACs and the cache-tree root for one cache geometry."""
 
-    def __init__(self, key: bytes, num_sets: int,
-                 arity: int = TREE_ARITY) -> None:
+    def __init__(self, key: bytes, num_sets: int) -> None:
         if num_sets < 1:
             raise ValueError("cache must have at least one set")
         self._key = key
         self.num_sets = num_sets
-        self.arity = arity
 
     def set_index(self, line_addr: int) -> int:
         """Must match the metadata cache's set mapping."""
@@ -63,7 +61,8 @@ class CacheTree:
     def root(self, set_macs: Dict[int, int]) -> int:
         """Fold all set-MACs (zero-filled) into the cache-tree root."""
         leaves = [set_macs.get(index, 0) for index in range(self.num_sets)]
-        return merkle_root(self._key, leaves, self.arity, domain="cache-tree")
+        return merkle_root(self._key, leaves, TREE_ARITY,
+                           domain="cache-tree")
 
     def root_from_entries(self, entries: Iterable[MacEntry]) -> int:
         """Root directly from dirty-line (address, MAC) pairs."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
-from repro.config import SystemConfig
+from repro.config import LINE_ACCESS_NS, SystemConfig
 from repro.core.bitmap import locate_stale_lines
 from repro.core.cachetree import CacheTree
 from repro.core.index import MultiLayerIndex
@@ -103,8 +103,7 @@ def recover_star(config: SystemConfig, nvm: NVM,
         # phase 4: rebuild the cache-tree, verify against the register
         with stats.span("recovery.verify") as verify_span:
             tree = CacheTree(
-                config.crypto_key, config.metadata_cache.num_sets,
-                config.star.cache_tree_arity,
+                config.crypto_key, config.metadata_cache.num_sets
             )
             root = tree.root_from_entries(sorted(restored_macs.items()))
             verified = root == registers.cache_tree_root
@@ -138,7 +137,7 @@ def recover_star(config: SystemConfig, nvm: NVM,
         nvm_reads=reads,
         nvm_writes=writes,
         verified=verified,
-        recovery_time_ns=(reads + writes) * config.recovery_line_access_ns,
+        recovery_time_ns=(reads + writes) * LINE_ACCESS_NS,
         restored=restored,
         ra_lines_cleared=len(nonzero_ra) if verified else 0,
     )

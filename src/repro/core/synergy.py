@@ -20,6 +20,9 @@ from repro.util.bitfield import mask
 
 LSB_MASK = mask(LSB_BITS)
 LSB_SPAN = 1 << LSB_BITS
+FLUSH_THRESHOLD = LSB_SPAN - 1
+"""Drift at which the controller force-flushes a counter's node, so no
+counter ever drifts a full LSB span from its persisted value."""
 
 
 def counter_lsbs(counter: int) -> int:

@@ -20,7 +20,6 @@ from repro.crypto.hashing import (
     KeyedBlake2b,
     encode_int_part,
     encode_str_part,
-    hash_bytes,
 )
 
 # the serialized "otp" domain tag and the block-0 suffix never change;
@@ -43,19 +42,13 @@ class CounterModeEngine:
 
     _PAD_CACHE_LIMIT = 4096
 
-    __slots__ = ("_key", "_line_size", "_pad_cache", "_prf")
+    __slots__ = ("_pad_cache", "_prf")
 
-    def __init__(self, key: bytes, line_size: int = LINE_SIZE) -> None:
+    def __init__(self, key: bytes) -> None:
         if not key:
             raise ValueError("encryption key must be non-empty")
-        self._key = key
-        self._line_size = line_size
         self._pad_cache: Dict[Tuple[int, int], bytes] = {}
-        self._prf = KeyedBlake2b(key, digest_size=64)
-
-    @property
-    def line_size(self) -> int:
-        return self._line_size
+        self._prf = KeyedBlake2b(key, digest_size=LINE_SIZE)
 
     def one_time_pad(self, address: int, counter: int) -> bytes:
         """The pad for (address, counter); never reused across writes."""
@@ -69,36 +62,25 @@ class CounterModeEngine:
         return pad
 
     def _derive_pad(self, address: int, counter: int) -> bytes:
-        # keystream blocks are always 64-byte digests (then truncated)
-        # so pads are bit-identical across line sizes' common prefix
-        if self._line_size == 64:
-            return self._prf.digest(
-                _OTP_PREFIX
-                + encode_int_part(address)
-                + encode_int_part(counter)
-                + _BLOCK0_SUFFIX
-            )
-        pad = b""
-        block = 0
-        while len(pad) < self._line_size:
-            pad += hash_bytes(
-                self._key, 64, "otp", address, counter, block
-            )
-            block += 1
-        return pad[: self._line_size]
+        # one 64-byte digest is the whole pad: keystream block 0
+        return self._prf.digest(
+            _OTP_PREFIX
+            + encode_int_part(address)
+            + encode_int_part(counter)
+            + _BLOCK0_SUFFIX
+        )
 
     def encrypt(self, plaintext: bytes, address: int, counter: int) -> bytes:
         """XOR ``plaintext`` with the (address, counter) pad."""
-        size = self._line_size
-        if len(plaintext) != size:
+        if len(plaintext) != LINE_SIZE:
             raise ValueError(
-                "plaintext must be exactly %d bytes" % size
+                "plaintext must be exactly %d bytes" % LINE_SIZE
             )
         pad = self.one_time_pad(address, counter)
         return (
             int.from_bytes(plaintext, "big")
             ^ int.from_bytes(pad, "big")
-        ).to_bytes(size, "big")
+        ).to_bytes(LINE_SIZE, "big")
 
     def decrypt(self, ciphertext: bytes, address: int, counter: int) -> bytes:
         """XOR is an involution: decryption equals encryption."""

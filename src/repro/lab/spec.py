@@ -12,7 +12,9 @@ ADR budget) lands on a different one.
 ``canonical_config`` / ``config_from_canonical`` round-trip a full
 :class:`~repro.config.SystemConfig` through plain JSON data, which
 keeps specs self-contained: a resumed campaign rebuilds its machines
-from the journal alone.
+from the journal alone. Canonical configs also carry the retired keys
+(:data:`RETIRED_CONFIG_KEYS`): settings that became model constants,
+held at the values every spec was hashed with.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.config import (
-    CacheConfig,
-    CPUConfig,
-    NVMTimings,
-    StarConfig,
-    SystemConfig,
-)
+from repro.config import CacheConfig, StarConfig, SystemConfig
 from repro.errors import ConfigError
 from repro.workloads.registry import check_trace_fields
 
@@ -39,15 +35,38 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 """Bumping this invalidates every cached cell (the version is hashed)."""
 
-RETIRED_CONFIG_KEYS = {
+_RETIRED_CACHE_KEYS = {"line_size": 64}
+
+RETIRED_CONFIG_KEYS: Dict[str, Any] = {
     "device_timing": False,
     "device_banks": 8,
     "device_row_lines": 32,
+    "recovery_line_access_ns": 100.0,
+    "nvm": {
+        "t_rcd_ns": 48.0, "t_cl_ns": 15.0, "t_cwd_ns": 13.0,
+        "t_faw_ns": 50.0, "t_wtr_ns": 7.5, "t_wr_ns": 300.0,
+        "read_energy_nj": 0.5, "write_energy_nj": 2.5,
+        "static_power_w": 0.002,
+    },
+    "cpu": {
+        "cores": 8, "freq_ghz": 2.0, "base_cpi": 1.0,
+        "write_queue_entries": 32, "write_ports": 1, "sfence_ns": 10.0,
+    },
+    "star": {
+        "cache_tree_arity": 8, "lsb_bits": 10,
+        "counter_flush_threshold": 1023,
+    },
+    "metadata_cache": _RETIRED_CACHE_KEYS,
+    "llc": _RETIRED_CACHE_KEYS,
+    "l2": _RETIRED_CACHE_KEYS,
+    "l1": _RETIRED_CACHE_KEYS,
 }
-"""Keys of the deleted bank-level timing model, held at the defaults
-every canonical config was hashed with, so no spec hash moves. A
-config with other values described a banked machine, which can no
-longer be rebuilt."""
+"""Config keys that are gone, at the value and JSON type every
+canonical config was hashed with, so no spec hash moves: the deleted
+bank-level timing model's, and the settings that became model
+constants (PCM and core timings, PCM energies, LSB width, cache-tree
+arity, flush threshold, line size, recovery line-access cost). A
+nested table fills its section; an absent L1 or L2 carries none."""
 
 KINDS = ("bench", "fuzz")
 
@@ -63,42 +82,66 @@ def canonical_config(config: SystemConfig) -> Dict:
     """A ``SystemConfig`` as plain, JSON-safe, order-stable data."""
     payload = asdict(config)
     payload["crypto_key"] = config.crypto_key.hex()
-    payload.update(RETIRED_CONFIG_KEYS)
+    for key, value in RETIRED_CONFIG_KEYS.items():
+        if not isinstance(value, dict):
+            payload[key] = value
+        elif key not in payload:
+            payload[key] = dict(value)
+        elif payload[key] is not None:
+            payload[key].update(value)
     return payload
 
 
-def config_from_canonical(payload: Dict) -> SystemConfig:
-    """Rebuild the exact ``SystemConfig`` a canonical dict came from."""
-    data = dict(payload)
-    for key, value in RETIRED_CONFIG_KEYS.items():
-        found = data.get(key)
-        if found != value:
+def _require_equal(expected: Dict, found: Dict, prefix: str = "") -> None:
+    """Refuse ``found`` unless it equals ``expected`` key for key, at
+    the same JSON types, naming the first key that differs."""
+    for key in sorted(set(expected) | set(found)):
+        name = prefix + key
+        if key not in found:
+            raise ConfigError("canonical config lacks %s" % name)
+        if key not in expected:
+            raise ConfigError("canonical config has unknown key %s" % name)
+        want, got = expected[key], found[key]
+        if isinstance(want, dict) and isinstance(got, dict):
+            _require_equal(want, got, name + ".")
+        elif type(want) is not type(got) or want != got:
             raise ConfigError(
-                "canonical config %s is %r; only %r can be rebuilt "
-                "(the bank-level timing model is gone)"
-                % (key, found, value)
+                "canonical config %s is %r; only %r can be rebuilt"
+                % (name, got, want)
             )
 
+
+def config_from_canonical(payload: Dict) -> SystemConfig:
+    """Rebuild the exact ``SystemConfig`` a canonical dict came from.
+
+    A payload that is not exactly that config's canonical form is
+    refused: above all, a retired key at another value describes a
+    machine the model no longer builds.
+    """
+
+    def build(cls: Any, entry: Dict) -> Any:
+        return cls(**{name: entry[name]
+                      for name in cls.__dataclass_fields__})
+
     def cache(entry: Optional[Dict]) -> Optional[CacheConfig]:
-        return None if entry is None else CacheConfig(**entry)
+        return None if entry is None else build(CacheConfig, entry)
 
     try:
-        return SystemConfig(
-            memory_bytes=data["memory_bytes"],
-            metadata_cache=cache(data["metadata_cache"]),
-            llc=cache(data["llc"]),
-            l2=cache(data.get("l2")),
-            l1=cache(data.get("l1")),
-            nvm=NVMTimings(**data["nvm"]),
-            cpu=CPUConfig(**data["cpu"]),
-            star=StarConfig(**data["star"]),
-            recovery_line_access_ns=data["recovery_line_access_ns"],
-            crypto_key=bytes.fromhex(data["crypto_key"]),
+        config = SystemConfig(
+            memory_bytes=payload["memory_bytes"],
+            metadata_cache=build(CacheConfig, payload["metadata_cache"]),
+            llc=build(CacheConfig, payload["llc"]),
+            l2=cache(payload.get("l2")),
+            l1=cache(payload.get("l1")),
+            star=build(StarConfig, payload["star"]),
+            crypto_key=bytes.fromhex(payload["crypto_key"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
             "malformed canonical config: %s" % exc
         ) from None
+    _require_equal(canonical_config(config), payload)
+    return config
 
 
 def _copy_data(value: Any) -> Any:

@@ -77,16 +77,21 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def _read(self, addr: int) -> MemoryEvent:
         hit_level = self._probe(addr)
-        if hit_level is not None:
+        if hit_level == 0:
             self.stats.add("cpu.read_hits")
-            if hit_level:
-                self._fill_through(addr, upto=hit_level, dirty=False)
-            return MemoryEvent(hit_level, 0, _NOTHING, _NOTHING)
-        self.stats.add("cpu.read_misses")
+            return MemoryEvent(0, 0, _NOTHING, _NOTHING)
+        if hit_level is None:
+            self.stats.add("cpu.read_misses")
+            upto, fills = self.num_levels, 1
+        else:
+            self.stats.add("cpu.read_hits")
+            upto, fills = hit_level, 0
+        # refilling the levels above a lower-level hit can push a dirty
+        # line out of the LLC too, and memory must still receive it
         writebacks: List[int] = []
-        self._fill_through(addr, upto=self.num_levels, dirty=False,
+        self._fill_through(addr, upto=upto, dirty=False,
                            writebacks=writebacks)
-        return MemoryEvent(None, 1, writebacks, _NOTHING)
+        return MemoryEvent(hit_level, fills, writebacks, _NOTHING)
 
     def _persistent_write(self, addr: int) -> MemoryEvent:
         """A durable store: install clean everywhere, write through."""
@@ -141,9 +146,9 @@ class CacheHierarchy:
         return None
 
     def _fill_through(self, addr: int, upto: int, dirty: bool,
-                      writebacks: Optional[List[int]] = None) -> None:
+                      writebacks: List[int]) -> None:
         """Install ``addr`` into levels [0, upto), evicting as needed;
-        LLC write-backs go to ``writebacks`` when one is given."""
+        LLC write-backs go to ``writebacks``."""
         for index in range(min(upto, self.num_levels)):
             level = self._levels[index]
             if level.lookup(addr, touch=True) is not None:
@@ -156,13 +161,12 @@ class CacheHierarchy:
             level.insert(addr, dirty=dirty)
 
     def _spill(self, from_level: int, addr: int,
-               writebacks: Optional[List[int]]) -> None:
+               writebacks: List[int]) -> None:
         """Write a dirty evicted line back toward memory."""
         next_index = from_level + 1
         if next_index >= self.num_levels:
             self.stats.add("cpu.llc_writebacks")
-            if writebacks is not None:
-                writebacks.append(addr)
+            writebacks.append(addr)
             return
         level = self._levels[next_index]
         line = level.lookup(addr, touch=False)

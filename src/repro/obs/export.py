@@ -150,14 +150,13 @@ def parse_prometheus_text(
     return samples
 
 
-def telemetry_snapshot(registry: MetricRegistry,
-                       events_limit: Optional[int] = None) -> dict:
-    """The full registry as one JSON-ready dict."""
-    events = registry.events
-    retained = (
-        events.events() if events_limit is None
-        else events.tail(events_limit)
-    )
+def registry_snapshot(registry: MetricRegistry) -> Dict:
+    """The mergeable (counters/gauges/histograms) slice of a registry.
+
+    Spans and events are left out: they are bulky, and the live plane
+    (:mod:`repro.obs.live`) aggregates *metrics*; event tails ship
+    through the flight recorder instead (:mod:`repro.obs.flight`).
+    """
     return {
         "counters": dict(registry.counters()),
         "gauges": {
@@ -168,12 +167,25 @@ def telemetry_snapshot(registry: MetricRegistry,
             name: histogram.to_dict()
             for name, histogram in registry.histograms()
         },
-        "spans": registry.tracer.to_list(),
-        "events": {
-            "dropped": events.dropped,
-            "entries": retained,
-        },
     }
+
+
+def telemetry_snapshot(registry: MetricRegistry,
+                       events_limit: Optional[int] = None) -> dict:
+    """The full registry as one JSON-ready dict: the
+    :func:`registry_snapshot` plus spans and events."""
+    events = registry.events
+    retained = (
+        events.events() if events_limit is None
+        else events.tail(events_limit)
+    )
+    snapshot = registry_snapshot(registry)
+    snapshot["spans"] = registry.tracer.to_list()
+    snapshot["events"] = {
+        "dropped": events.dropped,
+        "entries": retained,
+    }
+    return snapshot
 
 
 def to_json(registry: MetricRegistry, indent: int = 2) -> str:

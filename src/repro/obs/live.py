@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from repro.obs.export import registry_snapshot
 from repro.obs.metrics import Histogram, MetricRegistry
 from repro.util.stats import Stats
 
@@ -44,26 +45,6 @@ if TYPE_CHECKING:
 PathLike = Union[str, Path]
 
 SNAPSHOT_VERSION = 1
-
-
-def registry_snapshot(registry: MetricRegistry) -> Dict:
-    """The mergeable (counters/gauges/histograms) slice of a registry.
-
-    Spans and events are deliberately excluded: they are bulky, and the
-    live plane aggregates *metrics*; event tails ship through the
-    flight recorder instead (:mod:`repro.obs.flight`).
-    """
-    return {
-        "counters": dict(registry.counters()),
-        "gauges": {
-            name: {"value": gauge.value, "high": gauge.high}
-            for name, gauge in registry.gauges()
-        },
-        "histograms": {
-            name: histogram.to_dict()
-            for name, histogram in registry.histograms()
-        },
-    }
 
 
 def registry_from_snapshot(payload: Dict) -> MetricRegistry:

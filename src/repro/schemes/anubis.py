@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.config import LINE_ACCESS_NS
 from repro.schemes.base import PersistenceScheme, RecoveryReport
 from repro.tree.geometry import NodeId
 from repro.tree.node import CachedNode
@@ -146,9 +147,7 @@ class AnubisScheme(PersistenceScheme):
             nvm_reads=reads,
             nvm_writes=writes,
             verified=True,
-            recovery_time_ns=(
-                (reads + writes) * config.recovery_line_access_ns
-            ),
+            recovery_time_ns=(reads + writes) * LINE_ACCESS_NS,
             restored=restored,
             st_restored_lines=len(entries),
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.config import LINE_ACCESS_NS
 from repro.schemes.anubis import AnubisScheme
 from repro.schemes.base import RecoveryReport
 from repro.tree.geometry import NodeId
@@ -138,10 +139,7 @@ class PhoenixScheme(AnubisScheme):
             nvm_reads=reads,
             nvm_writes=writes,
             verified=node_report.verified and probe_failures == 0,
-            recovery_time_ns=(
-                (reads + writes)
-                * machine.config.recovery_line_access_ns
-            ),
+            recovery_time_ns=(reads + writes) * LINE_ACCESS_NS,
             restored=restored,
             st_restored_lines=node_report.restored_lines,
             probed_blocks=probed_blocks,

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import LINE_SIZE, LSB_BITS, SystemConfig
 from repro.core.cachetree import CacheTree
+from repro.core.synergy import FLUSH_THRESHOLD
 from repro.crypto.otp import CounterModeEngine
 from repro.errors import ConfigError, IntegrityError
 from repro.mem.cache import SetAssociativeCache, CacheLine
@@ -69,12 +70,10 @@ class SecureMemoryController:
             config.metadata_cache, name="meta_cache", stats=self.stats
         )
         self.cache_tree = CacheTree(
-            config.crypto_key, self.meta_cache.num_sets,
-            config.star.cache_tree_arity,
+            config.crypto_key, self.meta_cache.num_sets
         )
         self.registers = registers if registers is not None \
             else OnChipRegisters()
-        self._flush_threshold = config.star.counter_flush_threshold
         self._cascade_depth = 0
         self._cascade_peak = 0
         # per-persist instruments, bound once — this path is hot
@@ -134,7 +133,7 @@ class SecureMemoryController:
             self.stats.add("ctrl.data_writes")
             if self._hook_data_persist:
                 self.scheme.on_data_persist(address, image)
-            if block.drift(slot) >= self._flush_threshold:
+            if block.drift(slot) >= FLUSH_THRESHOLD:
                 self.stats.add("ctrl.force_flushes")
                 self.stats.event("force_flush", level=cb_id[0],
                                  index=cb_id[1], slot=slot)
@@ -440,7 +439,7 @@ class SecureMemoryController:
                 self.scheme.on_parent_modified(parent_id, parent, slot)
             self._write_node_image(node_id, addr, cached,
                                    parent.counters[slot])
-            if parent.drift(slot) >= self._flush_threshold:
+            if parent.drift(slot) >= FLUSH_THRESHOLD:
                 self.stats.add("ctrl.force_flushes")
                 self.stats.event("force_flush", level=parent_id[0],
                                  index=parent_id[1], slot=slot)

@@ -106,7 +106,7 @@ class Machine:
             if cache is not None
         ]
         self.hierarchy = CacheHierarchy(levels, self.stats)
-        self.timing = TimingModel(config.cpu, config.nvm, stats=self.stats)
+        self.timing = TimingModel(stats=self.stats)
         self.crashed = False
         self.pre_crash_dirty: Dict[int, Tuple[int, ...]] = {}
         self._dirty_fraction_at_crash: Optional[float] = None
@@ -284,9 +284,7 @@ class Machine:
 
     def result(self, workload: str = "",
                recovery: Optional[RecoveryReport] = None) -> RunResult:
-        energy = energy_from_stats(
-            self.stats, self.config.nvm, self.timing.now_ns
-        )
+        energy = energy_from_stats(self.stats, self.timing.now_ns)
         extras: dict = {}
         if self.stats.enabled:
             from repro.obs.export import telemetry_snapshot

@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import LINE_SIZE
-
-PAPER_LINE_ACCESS_NS = 100.0
-"""The per-64B-line NVM access cost the paper assumes (Section IV-F)."""
+from repro.config import LINE_ACCESS_NS, LINE_SIZE
 
 STAR_ACCESSES_PER_STALE_LINE = 11.0
 """Paper model: 10 reads (self + 8 children + parent) + 1 write."""
@@ -46,37 +43,34 @@ class RecoveryProjection:
 def project_star_seconds(cache_bytes: int,
                          dirty_fraction: float,
                          accesses_per_stale: float =
-                         STAR_ACCESSES_PER_STALE_LINE,
-                         line_ns: float = PAPER_LINE_ACCESS_NS) -> float:
+                         STAR_ACCESSES_PER_STALE_LINE) -> float:
     """STAR's recovery time for a cache of ``cache_bytes``."""
     if not 0.0 <= dirty_fraction <= 1.0:
         raise ValueError("dirty fraction must be in [0, 1]")
     lines = cache_bytes // LINE_SIZE
-    return lines * dirty_fraction * accesses_per_stale * line_ns * 1e-9
+    return (lines * dirty_fraction * accesses_per_stale
+            * LINE_ACCESS_NS * 1e-9)
 
 
 def project_anubis_seconds(cache_bytes: int,
                            accesses_per_line: float =
-                           ANUBIS_ACCESSES_PER_CACHE_LINE,
-                           line_ns: float = PAPER_LINE_ACCESS_NS
-                           ) -> float:
+                           ANUBIS_ACCESSES_PER_CACHE_LINE) -> float:
     """Anubis' recovery time: fixed by the cache size, not dirtiness."""
     lines = cache_bytes // LINE_SIZE
-    return lines * accesses_per_line * line_ns * 1e-9
+    return lines * accesses_per_line * LINE_ACCESS_NS * 1e-9
 
 
 def project(cache_bytes: int, dirty_fraction: float,
             star_accesses_per_stale: float = STAR_ACCESSES_PER_STALE_LINE,
             anubis_accesses_per_line: float =
-            ANUBIS_ACCESSES_PER_CACHE_LINE,
-            line_ns: float = PAPER_LINE_ACCESS_NS) -> RecoveryProjection:
+            ANUBIS_ACCESSES_PER_CACHE_LINE) -> RecoveryProjection:
     """Both schemes at once (one row of Fig. 14b)."""
     return RecoveryProjection(
         cache_bytes=cache_bytes,
         star_seconds=project_star_seconds(
-            cache_bytes, dirty_fraction, star_accesses_per_stale, line_ns
+            cache_bytes, dirty_fraction, star_accesses_per_stale
         ),
         anubis_seconds=project_anubis_seconds(
-            cache_bytes, anubis_accesses_per_line, line_ns
+            cache_bytes, anubis_accesses_per_line
         ),
     )

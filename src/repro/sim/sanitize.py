@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import wraps
 from typing import Dict, Optional, Tuple
 
-from repro.config import LINE_SIZE, TREE_ARITY
+from repro.config import LINE_SIZE, LSB_BITS, TREE_ARITY
 from repro.core.widths import fits
 from repro.tree.node import DataLineImage, NodeImage
 
@@ -224,8 +224,7 @@ class Sanitizer:
                                parent_counter: int) -> None:
         self._checks.value += 1
         image = self.machine.nvm.peek_meta(addr)
-        lsb_bits = self.machine.config.star.lsb_bits
-        expected = parent_counter & ((1 << lsb_bits) - 1)
+        expected = parent_counter & ((1 << LSB_BITS) - 1)
         if image is None or image.lsbs != expected:
             raise SanitizeError(
                 "minted image for metadata line %d does not carry the "

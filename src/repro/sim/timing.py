@@ -9,36 +9,58 @@ latency when they miss the hierarchy.
 
 This is deliberately not a pipeline simulator; see DESIGN.md for the
 substitution argument.
+
+The constants are Table I's. Of its PCM timings the model uses tRCD,
+tCL and tWR, and it runs the 8 cores as one instruction stream
+(DESIGN.md §2).
 """
 
 from __future__ import annotations
 
-from repro.config import CPUConfig, NVMTimings
 from repro.mem.writequeue import WritePendingQueue
 
 HIT_LATENCY_NS = (1.0, 4.0, 12.0)
 """Per-level cache hit latencies (L1, L2, LLC) at 2 GHz-ish budgets."""
 
+T_RCD_NS = 48.0
+"""PCM row-to-column delay (Table I)."""
+
+T_CL_NS = 15.0
+"""PCM column access latency (Table I)."""
+
+READ_LATENCY_NS = T_RCD_NS + T_CL_NS
+"""Array read latency seen by a demand miss (63 ns)."""
+
+T_WR_NS = 300.0
+"""PCM write pulse (Table I): the write-pending queue's service time."""
+
+CYCLE_NS = 1.0 / 2.0
+"""Clock period of the 2 GHz cores (Table I)."""
+
+BASE_CPI = 1.0
+"""Cycles per retired instruction outside memory stalls."""
+
+WRITE_QUEUE_ENTRIES = 32
+"""Write-pending queue capacity."""
+
+WRITE_PORTS = 1
+"""PCM banks draining the write-pending queue in parallel."""
+
+SFENCE_NS = 10.0
+"""Fixed pipeline cost of the ordering fence itself."""
+
 
 class TimingModel:
     """Accumulates simulated time from instruction and memory events."""
 
-    def __init__(self, cpu: CPUConfig, nvm: NVMTimings,
-                 stats=None) -> None:
-        self.cpu = cpu
-        self.nvm = nvm
+    def __init__(self, stats=None) -> None:
         self.now_ns = 0.0
         self.instructions = 0
         self.read_stall_ns = 0.0
         self.write_stall_ns = 0.0
         self.barrier_stall_ns = 0.0
-        # bound once: every op advances the clock through these
-        self._base_cpi = cpu.base_cpi
-        self._cycle_ns = cpu.cycle_ns
-        self._read_latency_ns = nvm.read_latency_ns
         self.wpq = WritePendingQueue(
-            cpu.write_queue_entries, nvm.t_wr_ns, cpu.write_ports,
-            stats=stats,
+            WRITE_QUEUE_ENTRIES, T_WR_NS, WRITE_PORTS, stats=stats,
         )
 
     # ------------------------------------------------------------------
@@ -49,7 +71,7 @@ class TimingModel:
         if count < 0:
             raise ValueError("instruction count must be non-negative")
         self.instructions += count
-        self.now_ns += count * self._base_cpi * self._cycle_ns
+        self.now_ns += count * BASE_CPI * CYCLE_NS
 
     def cache_hit(self, level: int) -> None:
         """A load served by cache level ``level`` (0-based)."""
@@ -59,7 +81,7 @@ class TimingModel:
         """``count`` demand NVM line reads on the critical path."""
         if count <= 0:
             return
-        stall = count * self._read_latency_ns
+        stall = count * READ_LATENCY_NS
         self.read_stall_ns += stall
         self.now_ns += stall
 
@@ -76,14 +98,14 @@ class TimingModel:
         durable, plus the fixed fence cost."""
         stall = self.wpq.drain_time(self.now_ns)
         self.barrier_stall_ns += stall
-        self.now_ns += stall + self.cpu.sfence_ns
+        self.now_ns += stall + SFENCE_NS
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     @property
     def cycles(self) -> float:
-        return self.now_ns / self.cpu.cycle_ns
+        return self.now_ns / CYCLE_NS
 
     @property
     def ipc(self) -> float:

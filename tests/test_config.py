@@ -1,5 +1,10 @@
 """Unit tests for repro.config."""
 
+import ast
+import dataclasses
+import pathlib
+import typing
+
 import pytest
 
 from repro.config import (
@@ -8,14 +13,18 @@ from repro.config import (
     LINE_SIZE,
     LSB_BITS,
     MAC_BITS,
-    NVMTimings,
     StarConfig,
     SystemConfig,
     paper_config,
     sim_config,
     small_config,
 )
+from repro.core.synergy import FLUSH_THRESHOLD
 from repro.errors import ConfigError
+from repro.sim.energy import READ_ENERGY_NJ, WRITE_ENERGY_NJ
+from repro.sim.timing import READ_LATENCY_NS, T_WR_NS
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestConstants:
@@ -24,6 +33,10 @@ class TestConstants:
 
     def test_bitmap_fanout_is_bits_per_line(self):
         assert BITMAP_FANOUT == LINE_SIZE * 8
+
+    def test_flush_threshold_below_lsb_wraparound(self):
+        assert FLUSH_THRESHOLD == 1023
+        assert 0 < FLUSH_THRESHOLD < 1 << LSB_BITS
 
 
 class TestCacheConfig:
@@ -45,30 +58,24 @@ class TestCacheConfig:
             CacheConfig(size_bytes=3 * 64 * 4, ways=4)
 
 
-class TestNVMTimings:
+class TestTableIConstants:
     def test_paper_latencies(self):
-        timings = NVMTimings()
-        assert timings.read_latency_ns == 48.0 + 15.0
-        assert timings.write_latency_ns == 300.0
+        assert READ_LATENCY_NS == 48.0 + 15.0
+        assert T_WR_NS == 300.0
 
     def test_energy_is_write_asymmetric(self):
-        timings = NVMTimings()
-        assert timings.write_energy_nj > timings.read_energy_nj
+        assert WRITE_ENERGY_NJ > READ_ENERGY_NJ
 
 
 class TestStarConfig:
     def test_defaults(self):
         star = StarConfig()
         assert star.adr_bitmap_lines == 16
-        assert star.counter_flush_threshold == 1023
+        assert star.bitmap_fanout == BITMAP_FANOUT
 
     def test_rejects_zero_adr_lines(self):
         with pytest.raises(ConfigError):
             StarConfig(adr_bitmap_lines=0)
-
-    def test_rejects_threshold_at_wraparound(self):
-        with pytest.raises(ConfigError):
-            StarConfig(counter_flush_threshold=1 << LSB_BITS)
 
 
 class TestSystemConfig:
@@ -113,3 +120,50 @@ class TestSystemConfig:
 
     def test_sim_config_scaled_fanout(self):
         assert sim_config(bitmap_fanout=64).star.bitmap_fanout == 64
+
+
+def config_fields():
+    """(class name, field name) of every dataclass field reachable from
+    ``SystemConfig``, each class walked once."""
+    found = []
+    pending, seen = [SystemConfig], set()
+    while pending:
+        cls = pending.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            found.append((cls.__name__, field.name))
+            hint = hints[field.name]
+            pending.extend(arg for arg in typing.get_args(hint) or (hint,)
+                           if dataclasses.is_dataclass(arg))
+    return found
+
+
+def attributes_read_by_the_model():
+    """Every attribute name read in ``src/repro`` outside the config
+    module and the spec codec, which only define and copy fields."""
+    names = set()
+    for path in PACKAGE.rglob("*.py"):
+        if path.relative_to(PACKAGE).as_posix() in ("config.py",
+                                                    "lab/spec.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+class TestNoDeadKnobs:
+    """A config field that only ``config.py`` reads changes no run: it
+    belongs in a constant, not in ``SystemConfig``."""
+
+    def test_every_config_field_is_read_by_the_model(self):
+        fields = config_fields()
+        assert len(fields) == 11
+        read = attributes_read_by_the_model()
+        unread = ["%s.%s" % field for field in fields
+                  if field[1] not in read]
+        assert not unread, "fields no model code reads: %s" % unread

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import small_config
+from repro.core.synergy import FLUSH_THRESHOLD
 from repro.errors import IntegrityError
 from repro.mem.nvm import NVM
 from repro.schemes import SIT_SCHEMES
@@ -192,13 +193,8 @@ class TestPersistPath:
             controller.geometry.num_levels
 
     def test_force_flush_on_counter_drift(self):
-        config = small_config()
-        config = replace(
-            config,
-            star=replace(config.star, counter_flush_threshold=4),
-        )
-        controller, nvm = make_controller(config)
-        for _ in range(4):
+        controller, nvm = make_controller()
+        for _ in range(FLUSH_THRESHOLD):
             controller.write_data(0)
         assert nvm.stats["ctrl.force_flushes"] >= 1
         cb = controller.cached_node(

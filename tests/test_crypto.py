@@ -162,13 +162,6 @@ class TestFastPathEquivalence:
         assert engine.one_time_pad(address, counter) == \
             hash_bytes(KEY, 64, "otp", address, counter, 0)
 
-    def test_oversize_line_pad_unchanged(self):
-        engine = CounterModeEngine(KEY, line_size=100)
-        pad = engine.one_time_pad(3, 5)
-        expected = (hash_bytes(KEY, 64, "otp", 3, 5, 0)
-                    + hash_bytes(KEY, 64, "otp", 3, 5, 1))[:100]
-        assert pad == expected
-
 
 class TestCounterModeEngine:
     def setup_method(self):

@@ -1,5 +1,7 @@
 """Unit tests for the CPU cache hierarchy."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
@@ -102,6 +104,29 @@ class TestScratchWrites:
         # evicted dirty line lands in L2 (where it still resides from
         # the fill), not memory
         assert event.writebacks == []
+
+
+class TestWritebackAccounting:
+    def test_every_counted_writeback_reaches_memory(self):
+        """Each dirty line the LLC evicts is counted once and carried on
+        the event that evicted it, so the controller writes it: random
+        scratch stores and reads on a 2-line L1 over a 4-line L2, where
+        refills above an L2 read hit evict too."""
+        for seed in range(20):
+            hierarchy = CacheHierarchy([
+                CacheConfig(size_bytes=2 * 64, ways=2),
+                CacheConfig(size_bytes=4 * 64, ways=2),
+            ])
+            rng = random.Random(seed)
+            carried = 0
+            for step in range(300):
+                event = hierarchy.access(rng.randrange(12),
+                                         is_write=rng.random() < 0.5,
+                                         persistent=False)
+                carried += len(event.writebacks)
+                counted = hierarchy.stats["cpu.llc_writebacks"]
+                assert counted == carried, "seed %d, step %d: counted " \
+                    "%d, carried %d" % (seed, step, counted, carried)
 
 
 class TestDrop:

@@ -8,14 +8,25 @@ journal rebuild its machines.
 
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
 from repro.bench.runner import config_for_scale
+from repro.config import (
+    LINE_ACCESS_NS,
+    LINE_SIZE,
+    LSB_BITS,
+    TREE_ARITY,
+    paper_config,
+    small_config,
+)
+from repro.core.synergy import FLUSH_THRESHOLD
 from repro.errors import ConfigError
 from repro.fuzz.sampling import CampaignSpec, sample_cases
 from repro.lab.gridfile import campaign_id, expand, load_grid
 from repro.lab.spec import (
+    RETIRED_CONFIG_KEYS,
     RunSpec,
     bench_spec,
     canonical_config,
@@ -24,8 +35,18 @@ from repro.lab.spec import (
     config_from_canonical,
     fuzz_spec,
 )
+from repro.sim import energy, timing
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _locate(payload, path):
+    """The section of ``payload`` holding dotted ``path``'s last key,
+    and that key."""
+    *sections, key = path.split(".")
+    for section in sections:
+        payload = payload[section]
+    return payload, key
 
 
 def _spec(**overrides):
@@ -84,6 +105,11 @@ class TestConfigRoundTrip:
         assert rebuilt.crypto_key == config.crypto_key
         assert config_digest(rebuilt) == config_digest(config)
 
+    def test_round_trip_with_every_cache_level(self):
+        config = paper_config()
+        rebuilt = config_from_canonical(canonical_config(config))
+        assert rebuilt == config
+
     def test_system_config_accessor_matches_factory_input(self):
         config = config_for_scale("smoke")
         spec = _spec(config=config)
@@ -96,11 +122,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             config_from_canonical(payload)
 
+    @pytest.mark.parametrize("section", ["metadata_cache", "llc"])
+    def test_a_null_required_cache_is_refused(self, section):
+        payload = canonical_config(config_for_scale("smoke"))
+        payload[section] = None
+        with pytest.raises(ConfigError):
+            config_from_canonical(payload)
+
 
 class TestRetiredTimingKeys:
-    """The deleted bank-level timing model's keys stay in every
-    canonical config at the values they were hashed with; a config
-    asking for a banked machine cannot be rebuilt."""
+    """Retired keys stay in every canonical config at the values they
+    were hashed with: the deleted bank-level timing model's, and the
+    settings that became model constants. A config asking for another
+    value describes a machine the model no longer builds."""
 
     RETIRED = {"device_timing": False, "device_banks": 8,
                "device_row_lines": 32}
@@ -119,6 +153,61 @@ class TestRetiredTimingKeys:
         payload[key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_canonical(payload)
+
+    @pytest.mark.parametrize("path, value", [
+        ("nvm.t_wr_ns", 150.0),
+        ("nvm.t_wr_ns", 300),
+        ("cpu.write_queue_entries", 16),
+        ("star.lsb_bits", 8),
+        ("llc.line_size", 128),
+        ("l1.line_size", 128),
+        ("recovery_line_access_ns", 50.0),
+    ])
+    def test_another_retired_value_is_refused(self, path, value):
+        payload = canonical_config(paper_config())
+        section, key = _locate(payload, path)
+        section[key] = value
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_canonical(payload)
+
+    @pytest.mark.parametrize("path", [
+        "device_banks", "nvm.t_rcd_ns", "cpu.cores", "star.lsb_bits",
+        "metadata_cache.line_size", "l2.line_size",
+    ])
+    def test_a_missing_retired_value_is_refused(self, path):
+        payload = canonical_config(paper_config())
+        section, key = _locate(payload, path)
+        del section[key]
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_canonical(payload)
+
+    def test_an_absent_cache_level_carries_no_line_size(self):
+        payload = canonical_config(small_config())
+        assert payload["l1"] is None and payload["l2"] is None
+        assert payload["llc"]["line_size"] == LINE_SIZE
+
+    def test_retired_values_are_the_model_constants(self):
+        """Changing a model constant must not leave spec hashes that
+        claim the old value."""
+        nvm = RETIRED_CONFIG_KEYS["nvm"]
+        cpu = RETIRED_CONFIG_KEYS["cpu"]
+        assert nvm["t_rcd_ns"] + nvm["t_cl_ns"] == timing.READ_LATENCY_NS
+        assert nvm["t_wr_ns"] == timing.T_WR_NS
+        assert nvm["read_energy_nj"] == energy.READ_ENERGY_NJ
+        assert nvm["write_energy_nj"] == energy.WRITE_ENERGY_NJ
+        assert nvm["static_power_w"] == energy.STATIC_POWER_W
+        assert 1.0 / cpu["freq_ghz"] == timing.CYCLE_NS
+        assert cpu["base_cpi"] == timing.BASE_CPI
+        assert cpu["write_queue_entries"] == timing.WRITE_QUEUE_ENTRIES
+        assert cpu["write_ports"] == timing.WRITE_PORTS
+        assert cpu["sfence_ns"] == timing.SFENCE_NS
+        star = RETIRED_CONFIG_KEYS["star"]
+        assert star["counter_flush_threshold"] == FLUSH_THRESHOLD
+        assert star["lsb_bits"] == LSB_BITS
+        assert star["cache_tree_arity"] == TREE_ARITY
+        assert RETIRED_CONFIG_KEYS["recovery_line_access_ns"] \
+            == LINE_ACCESS_NS
+        assert RETIRED_CONFIG_KEYS["llc"]["line_size"] == LINE_SIZE
 
 
 class TestSpecFormatPins:
@@ -139,6 +228,17 @@ class TestSpecFormatPins:
         if grid.endswith(".json"):
             grid = REPO / grid
         assert campaign_id(expand(load_grid(grid))) == cid
+
+    @pytest.mark.parametrize("factory, digest", [
+        pytest.param(paper_config, "ee29c94b4d61c920", id="paper"),
+        pytest.param(small_config, "0be196275e919e24", id="small"),
+        pytest.param(lambda: config_for_scale("default"),
+                     "dc950454d3f0bfb7", id="default-scale"),
+    ])
+    def test_config_digests_are_pinned(self, factory, digest):
+        """The factories' digests, including ``paper_config``'s L1 and
+        L2, which no campaign id covers."""
+        assert config_digest(factory()) == digest
 
     @pytest.mark.parametrize("name", ["paper", "table2", "fig14b"])
     def test_grid_files_equal_their_builtins(self, name):

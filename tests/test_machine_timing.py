@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.config import CPUConfig, NVMTimings, small_config
+from repro.config import small_config
 from repro.errors import RecoveryError
 from repro.sim.energy import energy_from_stats
 from repro.sim.machine import Machine
-from repro.sim.timing import TimingModel
+from repro.sim.timing import SFENCE_NS, WRITE_QUEUE_ENTRIES, TimingModel
 from repro.util.stats import Stats
 from repro.workloads.trace import Op, OpKind
 
@@ -15,7 +15,7 @@ from conftest import run_small_workload
 
 class TestTimingModel:
     def setup_method(self):
-        self.timing = TimingModel(CPUConfig(), NVMTimings())
+        self.timing = TimingModel()
 
     def test_instructions_advance_time(self):
         self.timing.advance_instructions(1000)
@@ -43,12 +43,10 @@ class TestTimingModel:
         assert self.timing.now_ns == 0
 
     def test_writes_fill_queue_then_stall(self):
-        cpu = CPUConfig(write_queue_entries=2, write_ports=1)
-        timing = TimingModel(cpu, NVMTimings())
-        timing.memory_writes(2)
-        assert timing.write_stall_ns == 0
-        timing.memory_writes(1)
-        assert timing.write_stall_ns > 0
+        self.timing.memory_writes(WRITE_QUEUE_ENTRIES)
+        assert self.timing.write_stall_ns == 0
+        self.timing.memory_writes(1)
+        assert self.timing.write_stall_ns > 0
 
     def test_persist_barrier_waits_for_drain(self):
         self.timing.memory_writes(3)
@@ -59,9 +57,7 @@ class TestTimingModel:
     def test_barrier_on_empty_queue_costs_fence_only(self):
         before = self.timing.now_ns
         self.timing.persist_barrier()
-        assert self.timing.now_ns - before == pytest.approx(
-            CPUConfig().sfence_ns
-        )
+        assert self.timing.now_ns - before == pytest.approx(SFENCE_NS)
 
     def test_ipc_definition(self):
         self.timing.advance_instructions(2000)
@@ -78,20 +74,20 @@ class TestEnergyModel:
         stats = Stats()
         stats.add("nvm.data_reads", 4)
         stats.add("nvm.meta_writes", 2)
-        energy = energy_from_stats(stats, NVMTimings())
+        energy = energy_from_stats(stats)
         assert energy.read_nj == pytest.approx(4 * 0.5)
         assert energy.write_nj == pytest.approx(2 * 2.5)
 
     def test_static_energy_scales_with_time(self):
         stats = Stats()
-        short = energy_from_stats(stats, NVMTimings(), elapsed_ns=1000)
-        long = energy_from_stats(stats, NVMTimings(), elapsed_ns=2000)
+        short = energy_from_stats(stats, elapsed_ns=1000)
+        long = energy_from_stats(stats, elapsed_ns=2000)
         assert long.static_nj == pytest.approx(2 * short.static_nj)
 
     def test_total(self):
         stats = Stats()
         stats.add("nvm.st_writes", 1)
-        energy = energy_from_stats(stats, NVMTimings(), elapsed_ns=100)
+        energy = energy_from_stats(stats, elapsed_ns=100)
         assert energy.total_nj == pytest.approx(
             energy.write_nj + energy.static_nj
         )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.config import small_config
+from repro.config import LINE_ACCESS_NS, small_config
 from repro.fuzz.attacks import make_attack
 from repro.fuzz.executor import campaign_config
 from repro.fuzz.sampling import CampaignSpec, sample_cases
@@ -221,10 +221,7 @@ class LineByLinePhoenix(PhoenixScheme):
             nvm_reads=reads,
             nvm_writes=writes,
             verified=node_report.verified and probe_failures == 0,
-            recovery_time_ns=(
-                (reads + writes)
-                * machine.config.recovery_line_access_ns
-            ),
+            recovery_time_ns=(reads + writes) * LINE_ACCESS_NS,
             restored=restored,
             st_restored_lines=node_report.restored_lines,
             probed_blocks=probed_blocks,

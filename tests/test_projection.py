@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.config import LINE_ACCESS_NS
 from repro.sim.projection import (
     ANUBIS_ACCESSES_PER_CACHE_LINE,
-    PAPER_LINE_ACCESS_NS,
     STAR_ACCESSES_PER_STALE_LINE,
     project,
     project_anubis_seconds,
@@ -63,7 +63,7 @@ class TestModelStructure:
             project_star_seconds(FOUR_MB, 1.5)
 
     def test_constants_match_paper_model(self):
-        assert PAPER_LINE_ACCESS_NS == 100.0
+        assert LINE_ACCESS_NS == 100.0
         assert STAR_ACCESSES_PER_STALE_LINE == 11.0
         assert ANUBIS_ACCESSES_PER_CACHE_LINE == 3.0
 
