@@ -12,11 +12,9 @@ from conftest import SCALE
 
 from repro.bench.experiments import experiment_fig14b
 
-CACHE_SIZES = (4 * 1024, 8 * 1024, 16 * 1024)
-
 
 def test_fig14b_recovery_time():
-    table = experiment_fig14b(SCALE, CACHE_SIZES, "hash")
+    table = experiment_fig14b(SCALE)
     projected = [row for row in table.rows if row["kind"] == "projected"]
     star = [row["star_seconds"] for row in projected]
     anubis = [row["anubis_seconds"] for row in projected]

@@ -11,9 +11,7 @@ from repro.bench.sweeps import (
 
 
 def test_metadata_cache_sweep():
-    table = sweep_metadata_cache(
-        SCALE, (4 * 1024, 8 * 1024, 16 * 1024), "hash",
-    )
+    table = sweep_metadata_cache(SCALE)
     wb_writes = table.column("wb_writes")
     assert wb_writes == sorted(wb_writes, reverse=True), \
         "a larger cache absorbs evictions"
@@ -32,7 +30,7 @@ def test_phoenix_stride_sweep():
 
 
 def test_bitmap_fanout_sweep():
-    table = sweep_bitmap_fanout(SCALE, (32, 128, 512), "hash")
+    table = sweep_bitmap_fanout(SCALE)
     spills = table.column("bitmap_writes")
     assert spills == sorted(spills, reverse=True), \
         "wider coverage -> fewer bitmap spills"

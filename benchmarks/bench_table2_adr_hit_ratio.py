@@ -10,13 +10,9 @@ from conftest import SCALE
 
 from repro.bench.experiments import experiment_table2
 
-ADR_LINE_COUNTS = (2, 4, 8, 16, 32)
-
 
 def test_table2_adr_hit_ratio():
-    table = experiment_table2(
-        SCALE, ADR_LINE_COUNTS, ["array", "hash", "tpcc"],
-    )
+    table = experiment_table2(SCALE)
     ratios = table.column("hit_ratio")
     assert ratios == sorted(ratios), "more ADR lines -> higher hit ratio"
     assert ratios[0] < ratios[-1]

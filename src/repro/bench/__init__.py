@@ -16,7 +16,6 @@ from repro.bench.runner import (
     SCALES,
     config_for_scale,
     geometric_mean,
-    run_grid,
     run_one,
 )
 from repro.bench.tables import ExperimentTable, render_table, render_tables
@@ -38,6 +37,5 @@ __all__ = [
     "render_table",
     "render_tables",
     "run_all",
-    "run_grid",
     "run_one",
 ]

@@ -16,29 +16,19 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.bench import experiments
+from repro.bench import characterize, experiments, sweeps
 from repro.bench.tables import render_table
 from repro.tools import output_error
 
 
-def _sweep_cache(scale="default", **_kwargs):
-    from repro.bench.sweeps import sweep_metadata_cache
-    return sweep_metadata_cache(scale)
+def _sweep_stride(scale, seed, lab):
+    # a fixed small machine: the persist stride is no grid axis
+    return sweeps.sweep_phoenix_stride(seed=seed)
 
 
-def _sweep_stride(scale="default", **_kwargs):
-    from repro.bench.sweeps import sweep_phoenix_stride
-    return sweep_phoenix_stride()
-
-
-def _sweep_fanout(scale="default", **_kwargs):
-    from repro.bench.sweeps import sweep_bitmap_fanout
-    return sweep_bitmap_fanout(scale)
-
-
-def _characterize(scale="default", **_kwargs):
-    from repro.bench.characterize import experiment_characterization
-    return experiment_characterization(scale)
+def _characterize(scale, seed, lab):
+    # trace statistics run no cells
+    return characterize.experiment_characterization(scale, seed=seed)
 
 
 _EXPERIMENTS = {
@@ -49,11 +39,12 @@ _EXPERIMENTS = {
     "table2": experiments.experiment_table2,
     "fig14a": experiments.experiment_fig14a,
     "fig14b": experiments.experiment_fig14b,
-    "sweep-cache": _sweep_cache,
+    "sweep-cache": sweeps.sweep_metadata_cache,
     "sweep-stride": _sweep_stride,
-    "sweep-fanout": _sweep_fanout,
+    "sweep-fanout": sweeps.sweep_bitmap_fanout,
     "characterize": _characterize,
 }
+"""Each entry takes ``scale``, ``seed`` and ``lab`` as keywords."""
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -130,8 +121,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         tables = experiments.run_all(scale=args.scale, seed=args.seed,
                                      lab=lab)
     else:
-        tables = [_EXPERIMENTS[args.experiment](scale=args.scale,
-                                                lab=lab)]
+        tables = [_EXPERIMENTS[args.experiment](
+            scale=args.scale, seed=args.seed, lab=lab)]
     for table in tables:
         print(render_table(table))
         if args.chart:

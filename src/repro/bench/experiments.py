@@ -21,20 +21,18 @@ experiment        paper result
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.bench.runner import (
+    GRIDS,
     GridKey,
     PAPER_SCHEMES,
-    config_for_scale,
     geometric_mean,
-    run_grid,
-    run_one,
+    run_points,
 )
 from repro.bench.tables import ExperimentTable
 from repro.config import LINE_SIZE
 from repro.sim.results import RunResult
-from repro.workloads.registry import ALL_WORKLOADS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lab.bridge import LabCache
@@ -45,11 +43,11 @@ PAPER_FIG12 = {"star": 0.98, "anubis": 0.90}
 PAPER_FIG13 = {"star": 1.04, "anubis": 1.46}
 PAPER_FIG14A_DIRTY = 0.78
 PAPER_FIG14B = {"star_4mb_s": 0.05, "anubis_4mb_s": 0.02}
+PAPER_CACHE_MBYTES = (0.5, 1.0, 2.0, 4.0)
+"""The metadata cache sizes Fig. 14(b) projects to."""
 
 
-def paper_grid(scale: str = "default",
-               workloads: Optional[Iterable[str]] = None,
-               seed: int = 42,
+def paper_grid(scale: str = "default", seed: int = 42,
                lab: Optional["LabCache"] = None
                ) -> Dict[GridKey, RunResult]:
     """The scheme x workload grid shared by Figs. 10-13 and 14(a).
@@ -57,9 +55,8 @@ def paper_grid(scale: str = "default",
     ``lab`` serves cells from (and commits misses to) a lab store —
     see :mod:`repro.lab` and ``star-bench --lab DIR``.
     """
-    config = config_for_scale(scale)
-    return run_grid(config, PAPER_SCHEMES, workloads, scale=scale,
-                    seed=seed, lab=lab)
+    ((_config, grid),) = run_points("paper", scale, seed, lab)
+    return grid
 
 
 def _workloads_of(grid: Dict[GridKey, RunResult]) -> List[str]:
@@ -75,10 +72,11 @@ def _workloads_of(grid: Dict[GridKey, RunResult]) -> List[str]:
 # ----------------------------------------------------------------------
 def experiment_fig10(scale: str = "default",
                      grid: Optional[Dict[GridKey, RunResult]] = None,
+                     seed: int = 42,
                      lab: Optional["LabCache"] = None
                      ) -> ExperimentTable:
     if grid is None:
-        grid = paper_grid(scale, lab=lab)
+        grid = paper_grid(scale, seed, lab)
     table = ExperimentTable(
         experiment_id="Fig. 10",
         title="bitmap-line writes of STAR vs WB write traffic",
@@ -146,10 +144,11 @@ def _normalized_experiment(grid: Dict[GridKey, RunResult],
 
 def experiment_fig11(scale: str = "default",
                      grid: Optional[Dict[GridKey, RunResult]] = None,
+                     seed: int = 42,
                      lab: Optional["LabCache"] = None
                      ) -> ExperimentTable:
     if grid is None:
-        grid = paper_grid(scale, lab=lab)
+        grid = paper_grid(scale, seed, lab)
     return _normalized_experiment(
         grid, "Fig. 11", "NVM write traffic normalized to WB",
         "normalized_writes",
@@ -163,10 +162,11 @@ def experiment_fig11(scale: str = "default",
 
 def experiment_fig12(scale: str = "default",
                      grid: Optional[Dict[GridKey, RunResult]] = None,
+                     seed: int = 42,
                      lab: Optional["LabCache"] = None
                      ) -> ExperimentTable:
     if grid is None:
-        grid = paper_grid(scale, lab=lab)
+        grid = paper_grid(scale, seed, lab)
     return _normalized_experiment(
         grid, "Fig. 12", "IPC normalized to WB", "normalized_ipc",
         [
@@ -178,10 +178,11 @@ def experiment_fig12(scale: str = "default",
 
 def experiment_fig13(scale: str = "default",
                      grid: Optional[Dict[GridKey, RunResult]] = None,
+                     seed: int = 42,
                      lab: Optional["LabCache"] = None
                      ) -> ExperimentTable:
     if grid is None:
-        grid = paper_grid(scale, lab=lab)
+        grid = paper_grid(scale, seed, lab)
     return _normalized_experiment(
         grid, "Fig. 13", "NVM energy normalized to WB",
         "normalized_energy",
@@ -192,18 +193,11 @@ def experiment_fig13(scale: str = "default",
 # ----------------------------------------------------------------------
 # Table II — ADR bitmap-line hit ratio vs number of lines in ADR
 # ----------------------------------------------------------------------
-def experiment_table2(scale: str = "default",
-                      adr_line_counts: Sequence[int] = (2, 4, 8, 16, 32),
-                      workloads: Optional[Iterable[str]] = None,
-                      seed: int = 42,
-                      bitmap_fanout: int = 64,
+def experiment_table2(scale: str = "default", seed: int = 42,
                       lab: Optional["LabCache"] = None) -> ExperimentTable:
     """ADR pressure depends on how many bitmap lines the touched
-    metadata spans; the tighter fanout keeps the span-to-ADR ratio at
-    the paper's scale (see ``sim_config``'s scaling note)."""
-    workloads = (
-        list(workloads) if workloads is not None else list(ALL_WORKLOADS)
-    )
+    metadata spans: the ``table2`` grid's tighter fanout keeps the
+    span-to-ADR ratio at the paper's scale."""
     table = ExperimentTable(
         experiment_id="Table II",
         title="bitmap-line hit ratio vs lines held in ADR",
@@ -214,19 +208,9 @@ def experiment_table2(scale: str = "default",
             "picks 16)",
         ],
     )
-    from repro.bench.runner import SCALES
-    spec = SCALES[scale]
-    for lines in adr_line_counts:
-        config = config_for_scale(
-            scale, adr_bitmap_lines=lines, bitmap_fanout=bitmap_fanout,
-        )
-        ratios = []
-        for workload in workloads:
-            result = run_one(
-                config, "star", workload,
-                spec.operations_for(workload), seed=seed, lab=lab,
-            )
-            ratios.append(result.adr_hit_ratio)
+    for config, results in run_points("table2", scale, seed, lab):
+        lines = config.star.adr_bitmap_lines
+        ratios = [result.adr_hit_ratio for result in results.values()]
         table.add_row(
             adr_lines=lines,
             hit_ratio=sum(ratios) / len(ratios),
@@ -240,10 +224,11 @@ def experiment_table2(scale: str = "default",
 # ----------------------------------------------------------------------
 def experiment_fig14a(scale: str = "default",
                       grid: Optional[Dict[GridKey, RunResult]] = None,
+                      seed: int = 42,
                       lab: Optional["LabCache"] = None
                       ) -> ExperimentTable:
     if grid is None:
-        grid = paper_grid(scale, lab=lab)
+        grid = paper_grid(scale, seed, lab)
     table = ExperimentTable(
         experiment_id="Fig. 14(a)",
         title="dirty share of the metadata cache at crash time",
@@ -267,18 +252,10 @@ def experiment_fig14a(scale: str = "default",
 # ----------------------------------------------------------------------
 # Fig. 14(b) — recovery time vs metadata cache size
 # ----------------------------------------------------------------------
-def experiment_fig14b(scale: str = "default",
-                      cache_sizes_bytes: Sequence[int] = (
-                          4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024),
-                      workload: str = "hash",
-                      paper_cache_mbytes: Sequence[float] = (
-                          0.5, 1.0, 2.0, 4.0),
-                      seed: int = 42,
+def experiment_fig14b(scale: str = "default", seed: int = 42,
                       lab: Optional["LabCache"] = None) -> ExperimentTable:
     """Measured recovery time on sim-scale caches, plus the projection
     to the paper's cache sizes using the measured per-line costs."""
-    from repro.bench.runner import SCALES
-    spec = SCALES[scale]
     table = ExperimentTable(
         experiment_id="Fig. 14(b)",
         title="recovery time after a crash vs metadata cache size",
@@ -298,14 +275,11 @@ def experiment_fig14b(scale: str = "default",
     star_per_stale = STAR_ACCESSES_PER_STALE_LINE
     anubis_per_slot = ANUBIS_ACCESSES_PER_CACHE_LINE
     dirty_fraction = PAPER_FIG14A_DIRTY
-    for size in cache_sizes_bytes:
-        config = config_for_scale(scale).with_metadata_cache_bytes(size)
-        star = run_one(config, "star", workload,
-                       spec.operations_for(workload), seed=seed,
-                       crash_and_recover=True, lab=lab)
-        anubis = run_one(config, "anubis", workload,
-                         spec.operations_for(workload), seed=seed,
-                         crash_and_recover=True, lab=lab)
+    (workload,) = GRIDS["fig14b"]["workloads"]
+    for config, results in run_points("fig14b", scale, seed, lab):
+        size = config.metadata_cache.size_bytes
+        star = results[("star", workload)]
+        anubis = results[("anubis", workload)]
         assert star.recovery is not None and anubis.recovery is not None
         if star.recovery.stale_lines:
             star_per_stale = (
@@ -322,7 +296,7 @@ def experiment_fig14b(scale: str = "default",
             star_seconds=star.recovery.recovery_time_s,
             anubis_seconds=anubis.recovery.recovery_time_s,
         )
-    for mbytes in paper_cache_mbytes:
+    for mbytes in PAPER_CACHE_MBYTES:
         projection = project(
             cache_bytes=int(mbytes * 1024 * 1024),
             dirty_fraction=dirty_fraction,
@@ -344,13 +318,13 @@ def experiment_fig14b(scale: str = "default",
 def run_all(scale: str = "default", seed: int = 42,
             lab: Optional["LabCache"] = None) -> List[ExperimentTable]:
     """Regenerate every table and figure of the paper's evaluation."""
-    grid = paper_grid(scale, seed=seed, lab=lab)
+    grid = paper_grid(scale, seed, lab)
     return [
         experiment_fig10(scale, grid),
         experiment_fig11(scale, grid),
         experiment_fig12(scale, grid),
         experiment_fig13(scale, grid),
-        experiment_table2(scale, seed=seed, lab=lab),
+        experiment_table2(scale, seed, lab),
         experiment_fig14a(scale, grid),
-        experiment_fig14b(scale, seed=seed, lab=lab),
+        experiment_fig14b(scale, seed, lab),
     ]

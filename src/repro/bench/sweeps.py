@@ -10,27 +10,31 @@ design parameters DESIGN.md calls out:
 * **bitmap fanout** — coverage per bitmap line vs ADR pressure (the
   knob used to scale the simulated machine; this sweep documents its
   effect explicitly).
+
+The cache and fanout sweeps run the ``sweep-cache`` and
+``sweep-fanout`` grids of :data:`repro.bench.runner.GRIDS`, so
+``star-lab`` can run them as campaigns; Phoenix's persist stride is no
+spec key, so that sweep builds its machines itself.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.bench.runner import SCALES, config_for_scale, run_one
+from repro.bench.runner import GRIDS, run_points
 from repro.bench.tables import ExperimentTable
 from repro.sim.machine import Machine
 from repro.workloads.registry import TraceSpec
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.lab.bridge import LabCache
 
-def sweep_metadata_cache(
-    scale: str = "default",
-    cache_sizes_bytes: Sequence[int] = (8 * 1024, 16 * 1024,
-                                        32 * 1024, 64 * 1024),
-    workload: str = "hash",
-    seed: int = 42,
-) -> ExperimentTable:
+
+def sweep_metadata_cache(scale: str = "default", seed: int = 42,
+                         lab: Optional["LabCache"] = None
+                         ) -> ExperimentTable:
     """Scheme behaviour as the metadata cache grows."""
-    spec = SCALES[scale]
+    (workload,) = GRIDS["sweep-cache"]["workloads"]
     table = ExperimentTable(
         experiment_id="Sweep A",
         title="metadata cache size sensitivity (%s)" % workload,
@@ -41,13 +45,11 @@ def sweep_metadata_cache(
             "falls and STAR's overhead shrinks toward zero",
         ],
     )
-    for size in cache_sizes_bytes:
-        config = config_for_scale(scale).with_metadata_cache_bytes(size)
-        operations = spec.operations_for(workload)
-        wb = run_one(config, "wb", workload, operations, seed=seed)
-        star = run_one(config, "star", workload, operations, seed=seed)
+    for config, results in run_points("sweep-cache", scale, seed, lab):
+        wb = results[("wb", workload)]
+        star = results[("star", workload)]
         table.add_row(
-            cache_kb=size // 1024,
+            cache_kb=config.metadata_cache.size_bytes // 1024,
             wb_writes=wb.nvm_writes,
             star_norm_writes=star.normalized_writes(wb),
             star_norm_ipc=star.normalized_ipc(wb),
@@ -96,15 +98,11 @@ def sweep_phoenix_stride(
     return table
 
 
-def sweep_bitmap_fanout(
-    scale: str = "default",
-    fanouts: Sequence[int] = (32, 64, 128, 256, 512),
-    workload: str = "hash",
-    adr_lines: int = 16,
-    seed: int = 42,
-) -> ExperimentTable:
+def sweep_bitmap_fanout(scale: str = "default", seed: int = 42,
+                        lab: Optional["LabCache"] = None
+                        ) -> ExperimentTable:
     """Coverage per bitmap line vs ADR pressure."""
-    spec = SCALES[scale]
+    (workload,) = GRIDS["sweep-fanout"]["workloads"]
     table = ExperimentTable(
         experiment_id="Sweep C",
         title="bitmap-line fanout sensitivity (%s)" % workload,
@@ -115,15 +113,12 @@ def sweep_bitmap_fanout(
             "fanout reproduces the paper's ADR pressure (DESIGN.md)",
         ],
     )
-    for fanout in fanouts:
-        config = config_for_scale(scale, adr_bitmap_lines=adr_lines,
-                                  bitmap_fanout=fanout)
-        operations = spec.operations_for(workload)
-        wb = run_one(config, "wb", workload, operations, seed=seed)
-        star = run_one(config, "star", workload, operations, seed=seed)
+    for config, results in run_points("sweep-fanout", scale, seed, lab):
+        wb = results[("wb", workload)]
+        star = results[("star", workload)]
         extra = star.nvm_writes - wb.nvm_writes
         table.add_row(
-            fanout=fanout,
+            fanout=config.star.bitmap_fanout,
             bitmap_writes=star.bitmap_writes,
             adr_hit_ratio=star.adr_hit_ratio,
             star_extra_write_pct=100.0 * extra / wb.nvm_writes,

@@ -1,10 +1,12 @@
 """Grid files: declarative campaign definitions over spec axes.
 
 A grid is a small JSON document describing a cartesian product of lab
-cells. The bench grids re-express the paper's evaluation sweeps
-(Figs. 10-14, Table II of EXPERIMENTS.md) as cacheable cell sets; fuzz
-grids express a seeded crash-consistency campaign as individually
-resumable jobs.
+cells. The built-in bench grids are the cells of the paper's
+evaluation (Figs. 10-14, Table II of EXPERIMENTS.md) and of the grid
+sweeps: :data:`repro.bench.runner.GRIDS`, which ``star-bench`` expands
+through the same :func:`~repro.bench.runner.expand_cells`, so a
+campaign caches exactly a table's cells. Fuzz grids express a seeded
+crash-consistency campaign as individually resumable jobs.
 
 Bench grid::
 
@@ -35,21 +37,17 @@ before any cell runs instead of falling back to a default.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, List, Union
 
-from repro.config import require_int
+from repro.bench.runner import GRIDS, expand_cells, grid_names
 from repro.errors import ConfigError
 from repro.lab.spec import RunSpec, bench_spec, canonical_json, fuzz_spec
 from repro.schemes import SIT_SCHEMES
-from repro.workloads.registry import ALL_WORKLOADS, TraceSpec
+from repro.workloads.registry import ALL_WORKLOADS
 
 PathLike = Union[str, Path]
-
-BENCH_AXES = ("adr_bitmap_lines", "bitmap_fanout",
-              "metadata_cache_bytes")
 
 GRID_KEYS = {
     "bench": frozenset({
@@ -65,46 +63,9 @@ GRID_KEYS = {
 """The keys each kind of grid reads."""
 
 
-# ----------------------------------------------------------------------
-# built-in grids (the paper's sweeps as lab campaigns)
-# ----------------------------------------------------------------------
-def _paper_grid(scale: str) -> Dict:
-    return {
-        "name": "paper-%s" % scale,
-        "kind": "bench",
-        "scale": scale,
-        "schemes": ["wb", "strict", "anubis", "star"],
-        "workloads": list(ALL_WORKLOADS),
-        "seed": 42,
-    }
-
-
 BUILTIN_GRIDS: Dict[str, Dict] = {
-    # the shared scheme x workload grid behind Figs. 10-13 and 14(a)
-    "paper": _paper_grid("default"),
-    "paper-smoke": _paper_grid("smoke"),
-    # Table II: ADR bitmap-line hit ratio vs lines held in ADR
-    "table2": {
-        "name": "table2",
-        "kind": "bench",
-        "scale": "default",
-        "schemes": ["star"],
-        "workloads": list(ALL_WORKLOADS),
-        "seed": 42,
-        "bitmap_fanout": 64,
-        "axes": {"adr_bitmap_lines": [2, 4, 8, 16, 32]},
-    },
-    # Fig. 14(b): recovery time vs metadata cache size
-    "fig14b": {
-        "name": "fig14b",
-        "kind": "bench",
-        "scale": "default",
-        "schemes": ["star", "anubis"],
-        "workloads": ["hash"],
-        "seed": 42,
-        "crash_and_recover": True,
-        "axes": {"metadata_cache_bytes": [4096, 8192, 16384, 32768]},
-    },
+    # every bench table's grid (:data:`repro.bench.runner.GRIDS`)
+    **GRIDS,
     # a seeded fuzz campaign as resumable lab jobs
     "fuzz-smoke": {
         "name": "fuzz-smoke",
@@ -143,90 +104,14 @@ def load_grid(name_or_path: PathLike) -> Dict:
 # ----------------------------------------------------------------------
 # expansion
 # ----------------------------------------------------------------------
-def _names(grid: Dict, key: str, known: Iterable[str],
-           default: List[str]) -> List[str]:
-    """A grid's list of registered names; an empty list means
-    ``default``."""
-    names = grid.get(key, default)
-    if not isinstance(names, list):
-        raise ConfigError("%s must be a list, got %r" % (key, names))
-    known = sorted(known)
-    for name in names:
-        if name not in known:
-            raise ConfigError("unknown %s %r (choose from %s)"
-                              % (key[:-1], name, ", ".join(known)))
-    return names or default
-
-
 def _expand_bench(grid: Dict) -> List[RunSpec]:
-    from repro.bench.runner import SCALES, config_for_scale
-
-    scale = grid.get("scale", "default")
-    if scale not in SCALES:
-        raise ConfigError("unknown scale %r" % (scale,))
-    spec_scale = SCALES[scale]
-    schemes = _names(grid, "schemes", SIT_SCHEMES, ["star"])
-    workloads = _names(grid, "workloads", ALL_WORKLOADS, ["hash"])
-    seed = grid.get("seed", 42)
-    crash = grid.get("crash_and_recover", False)
-    if not isinstance(crash, bool):
-        raise ConfigError("crash_and_recover must be true or false, "
-                          "got %r" % (crash,))
     metrics = grid.get("metrics", [])
     if not (isinstance(metrics, list)
             and all(isinstance(prefix, str) for prefix in metrics)):
         raise ConfigError("metrics must be a list of counter-name "
                           "prefixes, got %r" % (metrics,))
-    for key in ("adr_bitmap_lines", "bitmap_fanout"):
-        if key in grid:
-            require_int(key, grid[key], 1)
-    axes = grid.get("axes", {})
-    if not isinstance(axes, dict):
-        raise ConfigError("axes must map an axis to its values, got %r"
-                          % (axes,))
-    for key, values in axes.items():
-        if key not in BENCH_AXES:
-            raise ConfigError("unknown axis %r (choose from %s)"
-                              % (key, ", ".join(BENCH_AXES)))
-        if not isinstance(values, list):
-            raise ConfigError("axis %s must be a list, got %r"
-                              % (key, values))
-        for value in values:
-            require_int(key, value, 1)
-    axis_keys = sorted(axes)
-    axis_values = [axes[key] for key in axis_keys]
-    combos = (
-        list(itertools.product(*axis_values)) if axis_keys else [()]
-    )
-
-    specs: List[RunSpec] = []
-    for combo in combos:
-        point = dict(zip(axis_keys, combo))
-        config = config_for_scale(
-            scale,
-            adr_bitmap_lines=point.get(
-                "adr_bitmap_lines", grid.get("adr_bitmap_lines", 16)
-            ),
-            bitmap_fanout=point.get(
-                "bitmap_fanout", grid.get("bitmap_fanout", 128)
-            ),
-        )
-        if "metadata_cache_bytes" in point:
-            config = config.with_metadata_cache_bytes(
-                point["metadata_cache_bytes"]
-            )
-        for workload in workloads:
-            operations = grid.get(
-                "operations", spec_scale.operations_for(workload)
-            )
-            # the cell's trace, checked before any cell runs
-            TraceSpec(workload, config.num_data_lines, operations, seed)
-            for scheme in schemes:
-                specs.append(bench_spec(
-                    config, scheme, workload, operations, seed=seed,
-                    crash_and_recover=crash, metrics=tuple(metrics),
-                ))
-    return specs
+    return [bench_spec(*cell, metrics=tuple(metrics))
+            for cell in expand_cells(grid)]
 
 
 def _expand_fuzz(grid: Dict) -> List[RunSpec]:
@@ -236,9 +121,10 @@ def _expand_fuzz(grid: Dict) -> List[RunSpec]:
     campaign = CampaignSpec(
         cases=grid.get("cases", defaults.cases),
         seed=grid.get("seed", defaults.seed),
-        schemes=_names(grid, "schemes", SIT_SCHEMES, defaults.schemes),
-        workloads=_names(grid, "workloads", ALL_WORKLOADS,
-                         defaults.workloads),
+        schemes=grid_names(grid, "schemes", SIT_SCHEMES,
+                           defaults.schemes),
+        workloads=grid_names(grid, "workloads", ALL_WORKLOADS,
+                             defaults.workloads),
         min_operations=grid.get("min_operations",
                                 defaults.min_operations),
         max_operations=grid.get("max_operations",

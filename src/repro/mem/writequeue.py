@@ -17,23 +17,19 @@ from typing import Deque, Tuple
 
 
 class WritePendingQueue:
-    """A bounded write queue drained by ``ports`` parallel PCM banks."""
+    """A bounded write queue drained by one PCM write port."""
 
-    __slots__ = ("capacity", "service_ns", "ports", "stats",
-                 "_occupancy_hist", "_port_free_ns", "_completions",
-                 "_clock_ns")
+    __slots__ = ("capacity", "service_ns", "stats", "_occupancy_hist",
+                 "_free_ns", "_completions", "_clock_ns")
 
     def __init__(self, capacity: int, service_ns: float,
-                 ports: int = 1, stats=None) -> None:
+                 stats=None) -> None:
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         if service_ns <= 0:
             raise ValueError("service time must be positive")
-        if ports < 1:
-            raise ValueError("need at least one drain port")
         self.capacity = capacity
         self.service_ns = service_ns
-        self.ports = ports
         self.stats = stats
         """Optional :class:`~repro.util.stats.Stats`; when set, each
         enqueue records the pre-insert occupancy in the
@@ -44,7 +40,8 @@ class WritePendingQueue:
             stats.registry.histogram("wpq.occupancy")
             if stats is not None and stats.enabled else None
         )
-        self._port_free_ns = [0.0] * ports
+        self._free_ns = 0.0
+        """When the port finishes its last accepted write."""
         self._completions: Deque[float] = deque()
         self._clock_ns = 0.0
 
@@ -58,9 +55,9 @@ class WritePendingQueue:
         the full-queue stall reading ``_completions[0]``, and
         ``drain_time`` reading ``_completions[-1]`` — relies on the
         completion deque being sorted, which only holds when callers
-        present non-decreasing ``now_ns`` values (each write picks the
-        earliest-free bank, so with monotonic issue times every new
-        completion lands at or after the previous one). A caller that
+        present non-decreasing ``now_ns`` values (the port serves
+        writes in arrival order, so with monotonic arrival times every
+        new completion lands at or after the previous one). A caller that
         travels back in time would silently corrupt barrier stalls, so
         it is rejected loudly instead; :meth:`reset` (a crash) is the
         one sanctioned way to rewind the clock.
@@ -83,7 +80,7 @@ class WritePendingQueue:
         Returns ``(stall_ns, completion_ns)``: the time the issuing core
         must stall because the queue was full, and when this write will
         be durable. Successive completions are non-decreasing because
-        writes always pick the earliest-free bank; that guarantee only
+        the port serves writes in arrival order; that guarantee only
         holds for non-decreasing ``now_ns``, which is enforced —
         out-of-order observation raises ``ValueError``.
         """
@@ -107,15 +104,9 @@ class WritePendingQueue:
             # round below head and leave the queue over capacity
             while completions and completions[0] <= head_ns:
                 completions.popleft()
-        issue_ns = now_ns + stall_ns
-        port_free_ns = self._port_free_ns
-        if self.ports == 1:
-            port = 0
-        else:
-            port = min(range(self.ports), key=port_free_ns.__getitem__)
-        start_ns = max(issue_ns, port_free_ns[port])
-        completion_ns = start_ns + self.service_ns
-        port_free_ns[port] = completion_ns
+        completion_ns = (max(now_ns + stall_ns, self._free_ns)
+                         + self.service_ns)
+        self._free_ns = completion_ns
         completions.append(completion_ns)
         return stall_ns, completion_ns
 
@@ -139,5 +130,5 @@ class WritePendingQueue:
     def reset(self) -> None:
         """Empty the queue (a crash): contents and the clock are lost."""
         self._completions.clear()
-        self._port_free_ns = [0.0] * self.ports
+        self._free_ns = 0.0
         self._clock_ns = 0.0

@@ -43,9 +43,6 @@ BASE_CPI = 1.0
 WRITE_QUEUE_ENTRIES = 32
 """Write-pending queue capacity."""
 
-WRITE_PORTS = 1
-"""PCM banks draining the write-pending queue in parallel."""
-
 SFENCE_NS = 10.0
 """Fixed pipeline cost of the ordering fence itself."""
 
@@ -60,7 +57,7 @@ class TimingModel:
         self.write_stall_ns = 0.0
         self.barrier_stall_ns = 0.0
         self.wpq = WritePendingQueue(
-            WRITE_QUEUE_ENTRIES, T_WR_NS, WRITE_PORTS, stats=stats,
+            WRITE_QUEUE_ENTRIES, T_WR_NS, stats=stats,
         )
 
     # ------------------------------------------------------------------

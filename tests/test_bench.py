@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.bench.characterize import experiment_characterization
 from repro.bench.cli import main as cli_main
 from repro.bench.runner import (
     SCALES,
     config_for_scale,
     geometric_mean,
-    run_grid,
     run_one,
 )
-from repro.bench.tables import ExperimentTable, render_table
+from repro.bench.sweeps import sweep_phoenix_stride
+from repro.bench.tables import ExperimentTable, render_table, render_tables
 from repro.bench import experiments
 
 
@@ -40,13 +41,6 @@ class TestRunner:
         assert result.recovery is not None
         assert result.recovery.verified
 
-    def test_run_grid_covers_all_pairs(self):
-        config = config_for_scale("smoke")
-        grid = run_grid(config, schemes=["wb", "star"],
-                        workloads=["array"], scale="smoke",
-                        operations={"array": 40})
-        assert set(grid) == {("wb", "array"), ("star", "array")}
-
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
         assert geometric_mean([]) == 0.0
@@ -74,9 +68,7 @@ class TestTables:
 
 @pytest.fixture(scope="module")
 def smoke_grid():
-    return experiments.paper_grid(
-        "smoke", workloads=["array", "hash"]
-    )
+    return experiments.paper_grid("smoke")
 
 
 class TestExperiments:
@@ -112,17 +104,12 @@ class TestExperiments:
             assert 0.0 <= row["dirty_fraction"] <= 1.0
 
     def test_table2_hit_ratio_monotonic(self):
-        table = experiments.experiment_table2(
-            "smoke", adr_line_counts=(2, 8, 32), workloads=["hash"],
-        )
+        table = experiments.experiment_table2("smoke")
         ratios = table.column("hit_ratio")
         assert ratios == sorted(ratios)
 
     def test_fig14b_monotonic_in_cache_size(self):
-        table = experiments.experiment_fig14b(
-            "smoke", cache_sizes_bytes=(4 * 1024, 8 * 1024),
-            workload="hash",
-        )
+        table = experiments.experiment_fig14b("smoke")
         projected = [row for row in table.rows
                      if row["kind"] == "projected"]
         star_times = [row["star_seconds"] for row in projected]
@@ -141,6 +128,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig. 14(a)" in out
 
+    def test_seed_reaches_a_grid_experiment(self, smoke_grid, capsys):
+        """``--seed`` picks the cells of a single experiment, not only
+        those of ``--experiment all``."""
+        expected = render_table(experiments.experiment_fig14a(
+            "smoke", experiments.paper_grid("smoke", seed=7)))
+        assert expected != render_table(
+            experiments.experiment_fig14a("smoke", smoke_grid))
+        assert cli_main(["--experiment", "fig14a", "--scale", "smoke",
+                         "--seed", "7"]) == 0
+        assert expected in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment, table_at", [
+        ("sweep-stride", lambda seed: sweep_phoenix_stride(seed=seed)),
+        ("characterize",
+         lambda seed: experiment_characterization("smoke", seed=seed)),
+    ])
+    def test_seed_reaches_the_hand_written_experiments(
+            self, experiment, table_at, capsys):
+        expected = render_table(table_at(7))
+        assert expected != render_table(table_at(42))
+        assert cli_main(["--experiment", experiment, "--scale", "smoke",
+                         "--seed", "7"]) == 0
+        assert expected in capsys.readouterr().out
+
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli_main(["--experiment", "fig99"])
@@ -152,3 +163,30 @@ class TestCli:
         code = cli_main(["--experiment", "fig14a", "--scale", "smoke",
                          flag, path])
         assert_usage_error(code, "star-bench", path)
+
+
+class TestLabStore:
+    def test_a_campaign_holds_exactly_the_tables_cells(self, tmp_path):
+        """The built-in grids run as a campaign store every cell
+        ``run_all`` runs, and the tables served from that store equal
+        freshly simulated ones."""
+        from repro.lab import (
+            LabCache,
+            ResultStore,
+            expand,
+            load_grid,
+            run_local,
+        )
+
+        store = tmp_path / "store"
+        specs = []
+        for name in ("paper", "table2", "fig14b"):
+            specs += expand(dict(load_grid(name), scale="smoke"))
+        report = run_local(ResultStore(store), specs)
+        assert report.ok and report.completed == len(specs) == 71
+
+        lab = LabCache(store)
+        served = render_tables(experiments.run_all("smoke", lab=lab))
+        assert lab.store.stats["lab.store.puts"] == 0
+        assert lab.store.stats["lab.store.hits"] == 71
+        assert served == render_tables(experiments.run_all("smoke"))

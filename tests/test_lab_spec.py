@@ -199,7 +199,7 @@ class TestRetiredTimingKeys:
         assert 1.0 / cpu["freq_ghz"] == timing.CYCLE_NS
         assert cpu["base_cpi"] == timing.BASE_CPI
         assert cpu["write_queue_entries"] == timing.WRITE_QUEUE_ENTRIES
-        assert cpu["write_ports"] == timing.WRITE_PORTS
+        assert cpu["write_ports"] == 1  # the WPQ's one drain port
         assert cpu["sfence_ns"] == timing.SFENCE_NS
         star = RETIRED_CONFIG_KEYS["star"]
         assert star["counter_flush_threshold"] == FLUSH_THRESHOLD
@@ -239,11 +239,6 @@ class TestSpecFormatPins:
         """The factories' digests, including ``paper_config``'s L1 and
         L2, which no campaign id covers."""
         assert config_digest(factory()) == digest
-
-    @pytest.mark.parametrize("name", ["paper", "table2", "fig14b"])
-    def test_grid_files_equal_their_builtins(self, name):
-        from_file = expand(load_grid(REPO / "grids" / (name + ".json")))
-        assert from_file == expand(load_grid(name))
 
 
 class TestFuzzSpecs:

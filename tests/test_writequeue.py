@@ -15,10 +15,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             WritePendingQueue(4, 0.0)
 
-    def test_rejects_zero_ports(self):
-        with pytest.raises(ValueError):
-            WritePendingQueue(4, 100.0, ports=0)
-
 
 class TestSinglePort:
     def test_first_write_no_stall(self):
@@ -63,25 +59,6 @@ class TestSinglePort:
         assert queue.drain_time(0.0) == 0.0
 
 
-class TestMultiPort:
-    def test_parallel_service(self):
-        queue = WritePendingQueue(8, 100.0, ports=2)
-        _s1, c1 = queue.enqueue(0.0)
-        _s2, c2 = queue.enqueue(0.0)
-        _s3, c3 = queue.enqueue(0.0)
-        assert c1 == 100.0
-        assert c2 == 100.0  # second bank
-        assert c3 == 200.0  # waits for a bank
-
-    def test_more_ports_drain_faster(self):
-        slow = WritePendingQueue(16, 100.0, ports=1)
-        fast = WritePendingQueue(16, 100.0, ports=4)
-        for _ in range(8):
-            slow.enqueue(0.0)
-            fast.enqueue(0.0)
-        assert fast.drain_time(0.0) < slow.drain_time(0.0)
-
-
 class TestMonotonicClock:
     """Out-of-order observation must fail loudly, not corrupt state.
 
@@ -122,12 +99,11 @@ class TestMonotonicClock:
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=50.0),
-                max_size=100),
-       st.integers(min_value=1, max_value=4))
+                max_size=100))
 @settings(max_examples=50, deadline=None)
-def test_completions_monotonic_and_stalls_nonnegative(gaps, ports):
+def test_completions_monotonic_and_stalls_nonnegative(gaps):
     """Completion times never go backwards; stalls are never negative."""
-    queue = WritePendingQueue(4, 30.0, ports=ports)
+    queue = WritePendingQueue(4, 30.0)
     now = 0.0
     last_completion = 0.0
     for gap in gaps:
@@ -142,16 +118,15 @@ def test_completions_monotonic_and_stalls_nonnegative(gaps, ports):
 
 @given(st.lists(st.floats(min_value=0.0, max_value=40.0),
                 max_size=120),
-       st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=6))
 @settings(max_examples=50, deadline=None)
 # now + (head - now) rounds below head here: the stall must still free
 # the head's slot
-@example(gaps=[1.8021137430051317, 1.0], ports=1, capacity=1)
-def test_full_queue_stall_clears_exactly_one_slot(gaps, ports, capacity):
+@example(gaps=[1.8021137430051317, 1.0], capacity=1)
+def test_full_queue_stall_clears_exactly_one_slot(gaps, capacity):
     """A full-queue stall lasts exactly until the oldest write retires,
-    and occupancy never exceeds capacity — for any port count."""
-    queue = WritePendingQueue(capacity, 30.0, ports=ports)
+    and occupancy never exceeds capacity."""
+    queue = WritePendingQueue(capacity, 30.0)
     now = 0.0
     for gap in gaps:
         now += gap
@@ -165,16 +140,15 @@ def test_full_queue_stall_clears_exactly_one_slot(gaps, ports, capacity):
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=60.0),
-                min_size=1, max_size=80),
-       st.integers(min_value=1, max_value=4))
+                min_size=1, max_size=80))
 @settings(max_examples=50, deadline=None)
 # now + (last - now) rounds below last here: the drain must still reach it
 @example(gaps=[1.9267029295781195, 1.9267029295781195,
-               1.9267029295781195, 1.3042936770394231], ports=3)
-def test_retire_at_deadline(gaps, ports):
+               1.9267029295781195, 1.3042936770394231])
+def test_retire_at_deadline(gaps):
     """Waiting exactly ``drain_time`` empties the queue — no residue,
     and a zero-length drain immediately after."""
-    queue = WritePendingQueue(8, 25.0, ports=ports)
+    queue = WritePendingQueue(8, 25.0)
     now = 0.0
     for gap in gaps:
         now += gap
@@ -188,20 +162,19 @@ def test_retire_at_deadline(gaps, ports):
 @given(st.lists(st.floats(min_value=0.0, max_value=50.0),
                 max_size=60),
        st.lists(st.floats(min_value=0.0, max_value=50.0),
-                max_size=60),
-       st.integers(min_value=1, max_value=4))
+                max_size=60))
 @settings(max_examples=50, deadline=None)
-def test_reset_mid_run_restores_cold_behaviour(before, after, ports):
+def test_reset_mid_run_restores_cold_behaviour(before, after):
     """After a mid-run reset the queue behaves like a freshly built one,
     regardless of how much history preceded the crash."""
-    queue = WritePendingQueue(4, 30.0, ports=ports)
+    queue = WritePendingQueue(4, 30.0)
     now = 0.0
     for gap in before:
         now += gap
         stall, _completion = queue.enqueue(now)
         now += stall
     queue.reset()
-    fresh = WritePendingQueue(4, 30.0, ports=ports)
+    fresh = WritePendingQueue(4, 30.0)
     now = 0.0
     for gap in after:
         now += gap
